@@ -33,13 +33,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .rng import RandomStream
-from .noise import NoiseModel, sample_noise_gate
+# chain no longer calls sample_noise_gate (_NoiseWalk reproduces its draws);
+# the name stays here because the benchmark's tracer (bench/tracer.py) and
+# its tests look it up in every module that holds it
+from .noise import NoiseModel, sample_noise_gate  # noqa: F401
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
+NOISE_BLOCK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -201,35 +204,165 @@ class Trajectory:
         return (self.argmax_step + 1) * self.dt
 
 
-def _initial_state(n: int) -> np.ndarray:
-    psi = np.zeros(n, dtype=complex)
-    psi[0] = 1.0
-    return psi
+class _NoiseWalk:
+    """Per-run dephasing realizations, read from blocks of variates.
+
+    Run r draws from its own generator in the order ``sample_noise_gate``
+    uses: one activation variate every step and, when it is below ``p``,
+    n phase variates ``xi = -1 + 2 u``.  The variates come from
+    ``gen.random(k)`` in blocks, which yields the same doubles as k scalar
+    draws, and ``-1 + 2 u`` is how ``gen.uniform(-1, 1)`` maps them, so
+    every realization is bit for bit the one ``sample_noise_gate`` draws.
+
+    Each run holds one block of ``NOISE_BLOCK_STEPS * (n + 1)`` variates, at
+    least that many steps' worth.  A run whose unread tail is shorter than
+    one step's worst case (n + 1) moves the tail to the front and refills
+    behind it, so memory is R blocks whatever the trajectory length.
+    """
+
+    def __init__(self, noise: NoiseModel, n: int, rngs) -> None:
+        self.p, self.delta, self.n = noise.p, noise.delta, n
+        self.gens = [r.generator() if isinstance(r, RandomStream) else r for r in rngs]
+        # Generators handed in by the caller get rewound by close()
+        self.borrowed = [
+            (i, g, g.bit_generator.state) for i, (r, g) in enumerate(zip(rngs, self.gens)) if r is g
+        ]
+        self.block = NOISE_BLOCK_STEPS * (n + 1)
+        self.buf = np.empty((len(self.gens), self.block))
+        self.pos = np.full(len(self.gens), self.block)  # first unread slot per run
+        self.drawn = np.zeros(len(self.gens), dtype=np.int64)
+        self.rows = np.arange(len(self.gens))
+        self.span = np.arange(n)
+
+    def apply(self, states: np.ndarray) -> None:
+        """Draw one step's gates and dephase the active rows of ``states`` in place."""
+        for r in np.nonzero(self.pos > self.block - (self.n + 1))[0]:
+            k = self.pos[r]
+            row = self.buf[r]
+            row[: self.block - k] = row[k:]
+            self.gens[r].random(out=row[self.block - k :])
+            self.pos[r] = 0
+            self.drawn[r] += k
+        zeta = self.buf[self.rows, self.pos]
+        self.pos += 1
+        active = np.nonzero(zeta < self.p)[0]
+        if active.size:
+            xi = -1.0 + 2.0 * self.buf[active[:, None], self.pos[active, None] + self.span]
+            self.pos[active] += self.n
+            states[active] = np.exp(1j * self.delta * xi) * states[active]
+
+    def close(self) -> None:
+        """Leave each borrowed generator just past the variates its run used,
+        where step-by-step draws would have left it."""
+        used = self.drawn - (self.block - self.pos)
+        for r, gen, state in self.borrowed:
+            gen.bit_generator.state = state
+            gen.random(int(used[r]))
 
 
-def _evolve_indexed(
+@dataclass(frozen=True)
+class Rollouts:
+    """Per-step record of R runs stepped in lock-step; row r is run r."""
+
+    actions: np.ndarray
+    probabilities: np.ndarray
+    states: np.ndarray | None = field(default=None, repr=False)
+
+    def trajectory(self, run: int, dt: float) -> Trajectory:
+        states = None if self.states is None else self.states[run]
+        return Trajectory(probabilities=self.probabilities[run], dt=dt, states=states)
+
+
+def _apply_actions(states: np.ndarray, unitaries: np.ndarray, col) -> np.ndarray:
+    """One step: U[a] on every row that takes action a, one product per group.
+
+    Row states are right-multiplied by the transposed view ``U[a].T``; for a
+    single row that is bit for bit ``U[a] @ psi``.
+    """
+    groups = np.unique(col) if np.ndim(col) else [col]
+    if len(groups) == 1:
+        return states @ unitaries[groups[0]].T
+    for a in groups:
+        idx = np.nonzero(col == a)[0]
+        states[idx] = states[idx] @ unitaries[a].T
+    return states
+
+
+def evolve_lockstep(
     unitaries: np.ndarray,
-    sequence: np.ndarray,
-    dt: float,
-    noise: NoiseModel | None,
-    gen: np.random.Generator | None,
-    record_states: bool,
-) -> Trajectory:
-    """Shared inner loop: apply ``unitaries[a]`` for each a in sequence."""
-    n = unitaries.shape[1]
-    psi = _initial_state(n)
-    probs = np.empty(len(sequence))
-    states = np.empty((len(sequence), n), dtype=complex) if record_states else None
-    for j, a in enumerate(sequence):
-        psi = unitaries[a] @ psi
-        if noise is not None:
-            gate = sample_noise_gate(noise, n, gen)
-            if gate is not None:
-                psi = gate * psi
-        probs[j] = np.abs(psi[-1]) ** 2
-        if states is not None:
-            states[j] = psi
-    return Trajectory(probabilities=probs, dt=dt, states=states)
+    actions,
+    n_steps: int,
+    noise: NoiseModel | None = None,
+    rngs=None,
+    record_states: bool = False,
+) -> Rollouts:
+    """Step R runs of the chain together, one control step at a time.
+
+    Parameters
+    ----------
+    unitaries:
+        (n_actions, n, n) step propagators.
+    actions:
+        Either a fixed schedule, an (L,) array shared by every run or an
+        (R, L) array with one row per run, or a policy: a callable mapping
+        the current (R, n) states to R action ids.
+    n_steps:
+        Control steps L.
+    noise, rngs:
+        Optional dephasing model and one randomness source per run (a
+        RandomStream, opened here, or a Generator, which is left where
+        step-by-step draws would leave it).  Run r's realization depends on
+        ``rngs[r]`` alone; see :class:`_NoiseWalk` for the draw order.
+    record_states:
+        Keep every run's state after every step, shape (R, L, n).
+
+    The number of runs R is ``len(rngs)`` when given, else the number of
+    schedule rows, else 1.  Each step applies one matrix product per
+    distinct action, as :func:`evolve_population` does, and probabilities
+    are recorded after that step's gate.
+    """
+    n_actions, n = unitaries.shape[0], unitaries.shape[1]
+    policy = actions if callable(actions) else None
+    if policy is None:
+        actions = np.asarray(actions, dtype=np.int64)
+        if actions.size and (actions.min() < 0 or actions.max() >= n_actions):
+            bad = actions[(actions < 0) | (actions >= n_actions)][0]
+            raise ValueError(f"unknown action index {bad}; action set has {n_actions} actions")
+    if rngs is not None:
+        n_runs = len(rngs)
+    else:
+        n_runs = actions.shape[0] if policy is None and actions.ndim == 2 else 1
+    if policy is None and actions.shape not in ((n_steps,), (n_runs, n_steps)):
+        raise ValueError(
+            f"actions must have shape ({n_steps},) or ({n_runs}, {n_steps}), got {actions.shape}"
+        )
+    walk = None
+    if noise is not None:
+        if rngs is None:
+            raise ValueError("a noise model needs an rng to draw realizations from")
+        walk = _NoiseWalk(noise, n, rngs)
+    states = np.zeros((n_runs, n), dtype=complex)
+    states[:, 0] = 1.0
+    if policy is None:
+        taken = np.broadcast_to(actions, (n_runs, n_steps))
+    else:
+        taken = np.empty((n_runs, n_steps), dtype=np.int64)
+    probs = np.empty((n_runs, n_steps))
+    trail = np.empty((n_runs, n_steps, n), dtype=complex) if record_states else None
+    for t in range(n_steps):
+        if policy is None:
+            col = actions[..., t]
+        else:
+            col = taken[:, t] = policy(states)
+        states = _apply_actions(states, unitaries, col)
+        if walk is not None:
+            walk.apply(states)
+        probs[:, t] = np.abs(states[:, -1]) ** 2
+        if trail is not None:
+            trail[:, t] = states
+    if walk is not None:
+        walk.close()
+    return Rollouts(actions=taken, probabilities=probs, states=trail)
 
 
 def evolve_sequence(
@@ -240,6 +373,8 @@ def evolve_sequence(
     record_states: bool = False,
 ) -> Trajectory:
     """Evolve the excitation through one control sequence.
+
+    The single-run case of :func:`evolve_lockstep`.
 
     Parameters
     ----------
@@ -255,23 +390,17 @@ def evolve_sequence(
     rng:
         Randomness source, required when ``noise`` is given.  A
         RandomStream is opened once at the start of the trajectory so the
-        whole realization is a pure function of the stream.
+        whole realization is a pure function of the stream; a Generator is
+        left just past the variates the realization used.
     record_states:
         Keep the state vector after every step (for inspection/plots).
     """
     sequence = np.asarray(sequence, dtype=np.int64)
     if sequence.ndim != 1:
         raise ValueError(f"sequence must be one-dimensional, got shape {sequence.shape}")
-    n_actions = cache.unitaries.shape[0]
-    if len(sequence) and (sequence.min() < 0 or sequence.max() >= n_actions):
-        bad = sequence[(sequence < 0) | (sequence >= n_actions)][0]
-        raise ValueError(f"unknown action index {bad}; action set has {n_actions} actions")
-    gen = None
-    if noise is not None:
-        if rng is None:
-            raise ValueError("a noise model needs an rng to draw realizations from")
-        gen = rng.generator() if isinstance(rng, RandomStream) else rng
-    return _evolve_indexed(cache.unitaries, sequence, cache.dt, noise, gen, record_states)
+    rngs = None if noise is None or rng is None else [rng]
+    run = evolve_lockstep(cache.unitaries, sequence, len(sequence), noise, rngs, record_states)
+    return run.trajectory(0, cache.dt)
 
 
 def evolve_population(genes: np.ndarray, cache, return_curves: bool = False):
@@ -339,7 +468,7 @@ def free_evolution_baseline(spec: ChainSpec, n_steps: int | None = None, record_
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     u_free = _free_propagator(spec, spec.dt)[None, :, :]
     sequence = np.zeros(n_steps, dtype=np.int64)
-    return _evolve_indexed(u_free, sequence, spec.dt, None, None, record_states)
+    return evolve_lockstep(u_free, sequence, n_steps, record_states=record_states).trajectory(0, spec.dt)
 
 
 def free_transfer_probability(spec: ChainSpec, t):
@@ -375,6 +504,9 @@ def free_peak(spec: ChainSpec, t_max: float | None = None) -> tuple[float, float
         t_max = 0.75 * spec.n
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    # imported here: scipy.optimize costs most of the package's import time
+    from scipy.optimize import minimize_scalar
+
     grid = np.linspace(0.0, t_max, 4001)
     p = free_transfer_probability(spec, grid)
     k = int(np.argmax(p))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ActionSet, PropagatorCache, build_cache
-from .chain import ChainSpec, Trajectory
+from .chain import ChainSpec, Trajectory, evolve_lockstep
 from .noise import NoiseModel, sample_noise_gate
 from .qnet import QNetwork
 from .rng import RandomStream, as_stream
@@ -218,8 +218,9 @@ class DqnConfig:
 
 
 def encode_state(psi: np.ndarray) -> np.ndarray:
-    """Network input: real parts then imaginary parts of the amplitudes."""
-    return np.concatenate([psi.real, psi.imag])
+    """Network input: real parts then imaginary parts of the amplitudes
+    (along the last axis, so a batch of states encodes row by row)."""
+    return np.concatenate([psi.real, psi.imag], axis=-1)
 
 
 def epsilon_greedy(net: QNetwork, state: np.ndarray, epsilon: float, gen: np.random.Generator) -> int:
@@ -393,6 +394,16 @@ def train(
     )
 
 
+def greedy_policy(net: QNetwork):
+    """The learned policy as a batch map: (R, n) states to R greedy action ids,
+    from one ``q_batch`` call; ties resolve to the lowest id."""
+
+    def policy(states: np.ndarray) -> np.ndarray:
+        return np.argmax(net.q_batch(encode_state(states)), axis=1)
+
+    return policy
+
+
 def greedy_rollout(
     net: QNetwork,
     action_set: ActionSet,
@@ -406,26 +417,10 @@ def greedy_rollout(
     Under noise the policy reacts to the realized, dephased state at each
     step, which is exactly what separates a feedback controller from a
     fixed pulse program.  Returns the action sequence and its trajectory.
+    The single-run case of :func:`evolve_lockstep`.
     """
     if cache is None:
         cache = build_cache(action_set, spec)
-    gen = None
-    if noise is not None:
-        if rng is None:
-            raise ValueError("a noise model needs an rng to draw realizations from")
-        gen = rng.generator() if isinstance(rng, RandomStream) else rng
-    length = spec.n_steps
-    psi = np.zeros(spec.n, dtype=complex)
-    psi[0] = 1.0
-    seq = np.empty(length, dtype=np.int64)
-    probs = np.empty(length)
-    for t in range(length):
-        a = int(np.argmax(net.q_values(encode_state(psi))))
-        psi = cache.unitaries[a] @ psi
-        if noise is not None:
-            gate = sample_noise_gate(noise, spec.n, gen)
-            if gate is not None:
-                psi = gate * psi
-        seq[t] = a
-        probs[t] = np.abs(psi[-1]) ** 2
-    return seq, Trajectory(probabilities=probs, dt=spec.dt)
+    rngs = None if noise is None or rng is None else [rng]
+    run = evolve_lockstep(cache.unitaries, greedy_policy(net), spec.n_steps, noise, rngs)
+    return run.actions[0], run.trajectory(0, spec.dt)

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .actions import ActionSet, build_cache
-from .chain import ChainSpec, evolve_population, evolve_sequence
+from .chain import ChainSpec, evolve_lockstep, evolve_population, evolve_sequence
 from .noise import NoiseModel
 from .rng import RandomStream, as_stream
 
@@ -224,12 +224,9 @@ def _evaluate(genes, cache, noise, stream, generation):
     """Fitness of each row; noisy runs get one substream per individual."""
     if noise is None:
         return evolve_population(genes, cache)
-    out = np.empty(genes.shape[0])
-    for i in range(genes.shape[0]):
-        out[i] = evolve_sequence(
-            genes[i], cache, noise=noise, rng=stream.substream(generation, i)
-        ).max_probability
-    return out
+    rngs = [stream.substream(generation, i) for i in range(genes.shape[0])]
+    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1], noise, rngs)
+    return run.probabilities.max(axis=1)
 
 
 def run_ga(

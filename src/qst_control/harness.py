@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import PropagatorCache, build_cache, make_action_set
-from .chain import ChainSpec, Trajectory, averaged_fidelity, evolve_sequence
-from .dqn import DqnConfig, greedy_rollout, train
+from .chain import ChainSpec, Trajectory, averaged_fidelity, evolve_lockstep, evolve_sequence
+from .dqn import DqnConfig, greedy_policy, greedy_rollout, train
 from .ga import GaConfig, run_ga
 from .noise import NoiseModel
 from .qnet import QNetwork
@@ -61,6 +61,10 @@ class FixedSequenceController:
 
     sequence: np.ndarray
 
+    def actions(self) -> np.ndarray:
+        """What :func:`evolve_lockstep` steps: the fixed schedule."""
+        return self.sequence
+
     def rollout(self, cache: PropagatorCache, noise=None, rng=None) -> Trajectory:
         return evolve_sequence(self.sequence, cache, noise=noise, rng=rng)
 
@@ -71,6 +75,10 @@ class GreedyPolicyController:
     the realized (possibly dephased) state."""
 
     network: QNetwork
+
+    def actions(self):
+        """What :func:`evolve_lockstep` steps: the greedy policy."""
+        return greedy_policy(self.network)
 
     def rollout(self, cache: PropagatorCache, noise=None, rng=None) -> Trajectory:
         _, traj = greedy_rollout(
@@ -288,20 +296,29 @@ def validate_controller(
 
     Cell statistics are over ``n_runs`` independent noise realizations;
     run r of cell c draws from substream (tag, c, r), so every cell and
-    every run is reproducible in isolation.  The reported std is the
-    population spread (ddof 0) of the per-run trajectory maxima.
+    every run is reproducible in isolation.  The runs of a cell are
+    stepped in lock-step, all R states at once.  Cells with p = 0 or
+    delta = 0 are noiseless: every run is the clean rollout, computed
+    once.  The reported std is the population spread (ddof 0) of the
+    per-run trajectory maxima.  ``controller`` gives the clean run through
+    ``rollout(cache)`` and what :func:`evolve_lockstep` steps through
+    ``actions()``.
     """
     grid = [(float(p), float(d)) for p in p_values for d in delta_values]
+    # all up front, so that an invalid noise level or controller fails once,
+    # before any cell runs; the clean run also fixes the trajectory length
+    models = [NoiseModel(p=p, delta=d) for p, d in grid]
+    clean = controller.rollout(cache)
+    n_steps = len(clean.probabilities)
 
-    def run_cell(c: int, p: float, d: float) -> np.ndarray:
-        noise = NoiseModel(p=p, delta=d)
-        out = np.empty(n_runs)
-        for r in range(n_runs):
-            traj = controller.rollout(cache, noise=noise, rng=stream.substream(TAG_VALIDATION, c, r))
-            out[r] = traj.max_probability
-        return out
+    def run_cell(c: int, noise: NoiseModel) -> np.ndarray:
+        if noise.p == 0.0 or noise.delta == 0.0:
+            return np.full(n_runs, clean.max_probability)
+        rngs = [stream.substream(TAG_VALIDATION, c, r) for r in range(n_runs)]
+        run = evolve_lockstep(cache.unitaries, controller.actions(), n_steps, noise, rngs)
+        return run.probabilities.max(axis=1)
 
-    jobs = {c: (lambda c=c, p=p, d=d: run_cell(c, p, d)) for c, (p, d) in enumerate(grid)}
+    jobs = {c: (lambda c=c, noise=noise: run_cell(c, noise)) for c, noise in enumerate(models)}
     results = run_jobs(jobs, workers)
     per_run = np.stack([results[c] for c in range(len(grid))])
     cells = []
@@ -486,12 +503,9 @@ def hyperparameter_search(
             noise_delta=noise.delta,
         )
         record = train(config, action_set, spec, seed=sub.substream(1))
-        scores = np.empty(val_runs)
-        for r in range(val_runs):
-            _, traj = greedy_rollout(
-                record.network, action_set, spec, noise=noise, rng=sub.substream(2, r), cache=cache
-            )
-            scores[r] = traj.max_probability
+        rngs = [sub.substream(2, r) for r in range(val_runs)]
+        run = evolve_lockstep(cache.unitaries, greedy_policy(record.network), spec.n_steps, noise, rngs)
+        scores = run.probabilities.max(axis=1)
         return HpoTrial(
             index=i,
             gamma=gamma,

@@ -155,10 +155,21 @@ class QNetwork:
 
     @classmethod
     def load(cls, path) -> "QNetwork":
-        data = np.load(path)
-        sizes = tuple(int(s) for s in data["sizes"])
-        net = object.__new__(cls)
-        net.sizes = sizes
-        net.weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
-        net.biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
+        """Read a network written by :meth:`save`.
+
+        Raises ValueError when a layer's shape disagrees with the stored
+        sizes, and RuntimeError when a parameter is not finite.
+        """
+        with np.load(path) as data:
+            sizes = tuple(int(s) for s in data["sizes"])
+            net = object.__new__(cls)
+            net.sizes = sizes
+            net.weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
+            net.biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            expected = ((f"w{i}", net.weights[i], (fan_out, fan_in)), (f"b{i}", net.biases[i], (fan_out,)))
+            for name, arr, shape in expected:
+                if arr.shape != shape:
+                    raise ValueError(f"{path}: {name} has shape {arr.shape}, sizes {sizes} need {shape}")
+        net.assert_finite()
         return net

@@ -1,9 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here shares code with ``qst_control``: the propagator oracle is a
-Taylor series, the Hamiltonian oracle builds the full 2^n-dimensional
-operator from Pauli matrices and projects it, and the optimum oracle is
-exhaustive enumeration.  Deliberately slow and simple.
+The propagator oracle is a Taylor series, the Hamiltonian oracle builds
+the full 2^n-dimensional operator from Pauli matrices and projects it, the
+optimum oracle is exhaustive enumeration (scored with the package's
+``evolve_sequence``), and the rollout oracle is the plain one-run-at-a-time
+step loop.  The rollout oracle draws its gates through the package's
+``sample_noise_gate``, whose draw order ``tests/test_noise.py`` pins: it is
+the order the lock-step kernel must reproduce.  Deliberately slow and
+simple.
 """
 
 from __future__ import annotations
@@ -94,3 +98,56 @@ def enumerate_best(cache, length: int):
             best_p = traj.max_probability
             best_seq = seq
     return best_p, np.array(best_seq)
+
+
+def rollout_oracle(unitaries, n_steps: int, choose, noise=None, gen=None):
+    """One run, one step at a time: ``psi = U[a] @ psi``, then the step's
+    gate from ``sample_noise_gate``, then record ``|psi[-1]|^2``.
+
+    ``choose(t, psi)`` returns step t's action id.  Returns the action ids
+    and the per-step probabilities.
+    """
+    from qst_control.noise import sample_noise_gate
+
+    n = unitaries.shape[1]
+    psi = np.zeros(n, dtype=complex)
+    psi[0] = 1.0
+    seq = np.empty(n_steps, dtype=np.int64)
+    probs = np.empty(n_steps)
+    for t in range(n_steps):
+        a = choose(t, psi)
+        psi = unitaries[a] @ psi
+        if noise is not None:
+            gate = sample_noise_gate(noise, n, gen)
+            if gate is not None:
+                psi = gate * psi
+        seq[t] = a
+        probs[t] = np.abs(psi[-1]) ** 2
+    return seq, probs
+
+
+def fixed_choice(sequence):
+    """``choose`` for a fixed pulse program."""
+    return lambda t, psi: int(sequence[t])
+
+
+def greedy_choice(net):
+    """``choose`` for the greedy policy: one ``q_values`` call per step."""
+    return lambda t, psi: int(np.argmax(net.q_values(np.concatenate([psi.real, psi.imag]))))
+
+
+def validation_oracle(choose, cache, stream, p_values, delta_values, n_runs: int) -> np.ndarray:
+    """(cells, runs) trajectory maxima, run r of cell c on substream (3, c, r)."""
+    from qst_control.harness import TAG_VALIDATION
+    from qst_control.noise import NoiseModel
+
+    grid = [(p, d) for p in p_values for d in delta_values]
+    out = np.empty((len(grid), n_runs))
+    for c, (p, d) in enumerate(grid):
+        for r in range(n_runs):
+            gen = stream.substream(TAG_VALIDATION, c, r).generator()
+            _, probs = rollout_oracle(
+                cache.unitaries, cache.spec.n_steps, choose, NoiseModel(p, d), gen
+            )
+            out[c, r] = probs.max()
+    return out

@@ -317,3 +317,15 @@ def test_installed_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert yaml.safe_load(proc.stdout)["chain"]["n"] == 8
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the import time of every command; only
+    # free_peak needs it, and it imports it itself
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    code = "import sys, qst_control.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

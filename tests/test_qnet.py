@@ -144,3 +144,29 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.state_equal(net)
     x = RandomStream(5).generator().normal(size=(3, 5))
     np.testing.assert_array_equal(loaded.q_batch(x), net.q_batch(x))
+
+
+def test_load_rejects_a_layer_that_disagrees_with_sizes(tmp_path):
+    net = make_net()
+    path = tmp_path / "net.npz"
+    payload = {"sizes": np.array(net.sizes)}
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        payload[f"w{i}"], payload[f"b{i}"] = w, b
+    payload["w1"] = net.weights[1][:, :-1]
+    np.savez(path, **payload)
+    with pytest.raises(ValueError, match="w1"):
+        QNetwork.load(path)
+    payload["w1"] = net.weights[1]
+    payload["b2"] = np.zeros(5)
+    np.savez(path, **payload)
+    with pytest.raises(ValueError, match="b2"):
+        QNetwork.load(path)
+
+
+def test_load_rejects_a_non_finite_weight(tmp_path):
+    net = make_net()
+    net.weights[0][2, 1] = np.nan
+    path = tmp_path / "net.npz"
+    net.save(path)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        QNetwork.load(path)
