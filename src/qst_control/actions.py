@@ -39,11 +39,6 @@ class Action:
         mask.setflags(write=False)
         object.__setattr__(self, "field_mask", mask)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """0-based indices of the driven sites."""
-        return tuple(int(i) for i in np.nonzero(self.field_mask)[0])
-
 
 @dataclass(frozen=True)
 class ActionSet:
@@ -69,19 +64,6 @@ class ActionSet:
 
     def __getitem__(self, action_id: int) -> Action:
         return self.actions[action_id]
-
-    @property
-    def masks(self) -> np.ndarray:
-        """(n_actions, n) matrix of field values."""
-        return np.stack([a.field_mask for a in self.actions])
-
-    def id_from_mask(self, mask) -> int:
-        """Recover the action id whose field pattern matches ``mask``."""
-        mask = np.asarray(mask, dtype=float)
-        for a in self.actions:
-            if np.array_equal(a.field_mask, mask):
-                return a.id
-        raise ValueError("no action with that field pattern in this set")
 
 
 def site_by_site_set(n: int, h: float = 100.0) -> ActionSet:
@@ -111,20 +93,6 @@ def zhang16_sites(action_id: int, n: int) -> tuple[int, ...]:
         return tuple(b for b in range(3) if action_id >> b & 1)
     m = action_id - 7
     return tuple(sorted(n - 1 - b for b in range(3) if m >> b & 1))
-
-
-def zhang16_id_from_sites(sites, n: int) -> int:
-    """Inverse of :func:`zhang16_sites` (decodes from the driven-site support)."""
-    sites = tuple(sorted(int(s) for s in sites))
-    if sites == ():
-        return 0
-    if sites == tuple(range(n)):
-        return 15
-    if all(s <= 2 for s in sites):
-        return sum(1 << s for s in sites)
-    if all(s >= n - 3 for s in sites):
-        return 7 + sum(1 << (n - 1 - s) for s in sites)
-    raise ValueError(f"support {sites} is not expressible in the 16-action set")
 
 
 def zhang16_set(n: int, h: float = 100.0) -> ActionSet:

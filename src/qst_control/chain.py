@@ -436,13 +436,20 @@ def evolve_population(genes: np.ndarray, cache, return_curves: bool = False):
     ut = unitaries.transpose(0, 2, 1).copy()
     states = np.zeros((batch, n), dtype=complex)
     states[:, 0] = 1.0
+    stepped = np.empty_like(states)
     max_p = np.zeros(batch)
     curves = np.empty((batch, length)) if return_curves else None
     for step in range(length):
         col = genes[:, step]
-        for a in np.unique(col):
-            idx = np.nonzero(col == a)[0]
-            states[idx] = states[idx] @ ut[a]
+        # a stable sort makes each action's rows one block in row order, so
+        # each product sees the operand a gather of those rows would give
+        order = np.argsort(col, kind="stable")
+        ranked = col[order]
+        starts = np.flatnonzero(np.diff(ranked, prepend=-1)).tolist()
+        grouped = states[order]
+        for lo, hi in zip(starts, starts[1:] + [batch]):
+            np.matmul(grouped[lo:hi], ut[ranked[lo]], out=stepped[lo:hi])
+        states[order] = stepped
         p = np.abs(states[:, -1]) ** 2
         np.maximum(max_p, p, out=max_p)
         if curves is not None:

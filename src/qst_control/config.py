@@ -6,18 +6,27 @@ or keys are errors that name the exact field path (so a typo like
 type- and range-checked, and every missing field resolves to an explicit
 default.  The resolved form can be printed (``describe``) and re-parsed
 into an identical configuration.
+
+Each section is read off the dataclass it builds, the type of the
+same-named :class:`ExperimentConfig` field: its field names, annotations
+and defaults are the section's keys, value shapes and defaults, and a
+field without a default is required.  ``DqnConfig.reward_table`` is the
+``dqn.reward`` subsection; :class:`HpoRanges` spreads into ``hpo``.  Only
+the top-level keys and each key's bounds (``_BOUNDS``) are written here.
+A dataclass that rejects a combination is reported under its section.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
 from .chain import ChainSpec
-from .dqn import DqnConfig, RewardTable
+from .dqn import DqnConfig
 from .ga import GaConfig
 from .harness import DEFAULT_NOISE_LEVELS, HpoRanges
 
@@ -33,215 +42,228 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-# ---------------------------------------------------------------- checkers
+# ------------------------------------------------------------- typed form
+
+
+@dataclass
+class ValidateSettings:
+    controller: str = "ga"
+    p_values: tuple[float, ...] = DEFAULT_NOISE_LEVELS
+    delta_values: tuple[float, ...] = DEFAULT_NOISE_LEVELS
+    runs: int = 100
+
+
+@dataclass
+class SweepSettings:
+    h_values: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
+    dt_values: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2)
+
+
+@dataclass
+class HistogramSettings:
+    n_sequences: int = 1000
+    threshold: float = 0.99
+    max_runs: int = 200
+
+
+@dataclass
+class ScalingSettings:
+    lengths: tuple[int, ...] = (16, 32, 64, 128)
+    n_seeds: int = 3
+
+
+@dataclass
+class HpoSettings:
+    trials: int = 32
+    val_runs: int = 100
+    ranges: HpoRanges = field(default_factory=HpoRanges)
+    noise_p: float = 0.25
+    noise_delta: float = 0.25
+
+
+@dataclass
+class BaselineSettings:
+    n_steps: int | None = None
+
+
+@dataclass
+class ExperimentConfig:
+    """Fully resolved, typed experiment description."""
+
+    mode: str | None
+    seed: int
+    output_dir: str
+    workers: int
+    action_set_kind: str
+    chain: ChainSpec
+    ga: GaConfig
+    dqn: DqnConfig
+    validate: ValidateSettings
+    sweep: SweepSettings
+    histogram: HistogramSettings
+    scaling: ScalingSettings
+    hpo: HpoSettings
+    baseline: BaselineSettings
+    resolved: dict
+
+
+# ------------------------------------------------------------------ schema
+
+# A dataclass-typed field named here is a subsection under the given key;
+# any other dataclass-typed field spreads its fields into its section.
+_SUBSECTIONS = {"reward_table": "reward"}
+
+
+def _schema(cls) -> dict:
+    """Config key -> (annotation, default) for the section ``cls`` builds."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint) and f.name not in _SUBSECTIONS:
+            out.update(_schema(hint))
+        else:
+            out[_SUBSECTIONS.get(f.name, f.name)] = (hint, f.default)
+    return out
+
+
+_SECTIONS = {
+    name: hint
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if dataclasses.is_dataclass(hint)
+}
+
+# top-level keys; a None default leaves the key out of the resolved form
+_TOP = {
+    "mode": (str, None),
+    "seed": (int, 0),
+    "output_dir": (str, "artifacts"),
+    "workers": (int, 1),
+    "action_set": (str, "site_by_site"),
+    **{name: (cls, dataclasses.MISSING) for name, cls in _SECTIONS.items()},
+}
+
+# what a missing required key stands for, in its error message
+_REQUIRED = {"chain.n": "chain length"}
+
+
+# dotted key -> bounds: a (lowest, highest) range with None for no upper
+# limit, _POSITIVE, or a tuple of allowed strings; a list or pair bounds
+# each of its entries
+_POSITIVE = "positive"
+_COUNT = (1, None)
+_UNIT = (0.0, 1.0)
+_NONNEGATIVE = (0.0, None)
+_BOUNDS = {
+    "mode": MODES,
+    "action_set": ACTION_SET_KINDS,
+    "validate.controller": ("ga", "dqn"),
+    "sweep.dt_values": _POSITIVE,
+    "hpo.learning_rate": (1e-12, None),
+    **dict.fromkeys(("seed", "ga.keep_elitism", "ga.mutated_genes", "baseline.n_steps"), (0, None)),
+    **dict.fromkeys(("chain.n", "ga.population_size", "ga.parents_mating", "scaling.lengths"), (2, None)),
+    **dict.fromkeys(
+        (
+            "workers", "ga.max_generations", "ga.saturation", "ga.n_seeds", "dqn.hidden1", "dqn.hidden2",
+            "dqn.minibatch", "dqn.replay_capacity", "dqn.learning_period", "dqn.target_sync_period",
+            "dqn.episodes", "validate.runs", "histogram.n_sequences", "histogram.max_runs",
+            "scaling.n_seeds", "hpo.trials", "hpo.val_runs", "hpo.hidden1",
+        ),
+        _COUNT,
+    ),
+    **dict.fromkeys(
+        (
+            "ga.crossover_probability", "ga.mutation_probability", "ga.target_probability",
+            "dqn.epsilon_start", "dqn.epsilon_floor", "dqn.fidelity_threshold", "dqn.noise_p",
+            "dqn.reward.zeta", "dqn.reward.high", "validate.p_values", "histogram.threshold", "hpo.noise_p",
+        ),
+        _UNIT,
+    ),
+    **dict.fromkeys(
+        ("dqn.epsilon_decay", "dqn.noise_delta", "validate.delta_values", "sweep.h_values", "hpo.noise_delta"),
+        _NONNEGATIVE,
+    ),
+}
+
+_LIST_OF = {int: "integers", float: "numbers"}
+_FIXED = {2: "a [low, high] pair", 3: "three reward scales"}
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_int(v, path, lo=None, hi=None):
-    if not _is_int(v):
-        raise ConfigError(path, f"expected an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(path, f"must be at least {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(path, f"must be at most {hi}, got {v}")
-    return v
-
-
-def _check_opt_int(v, path, lo=None):
-    if v is None:
-        return None
-    return _check_int(v, path, lo=lo)
-
-
-def _check_num(v, path, lo=None, hi=None):
-    if not (_is_int(v) or isinstance(v, float)):
-        raise ConfigError(path, f"expected a number, got {v!r}")
-    v = float(v)
-    if lo is not None and v < lo:
-        raise ConfigError(path, f"must be at least {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(path, f"must be at most {hi}, got {v}")
-    return v
-
-
-def _check_str(v, path, choices=None):
-    if not isinstance(v, str):
+def _check(hint, v, path: str, bound):
+    """Check ``v`` against the annotation ``hint``; tuples come back as lists."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if v is None else _check(args[0], v, path, bound)
+    if typing.get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            if not isinstance(v, (list, tuple)) or len(v) == 0:
+                raise ConfigError(path, f"expected a non-empty list of {_LIST_OF[args[0]]}, got {v!r}")
+            return [_check(args[0], x, f"{path}[{i}]", bound) for i, x in enumerate(v)]
+        if not isinstance(v, (list, tuple)) or len(v) != len(args):
+            raise ConfigError(path, f"expected {_FIXED[len(args)]}, got {v!r}")
+        out = [_check(a, x, f"{path}[{i}]", bound) for i, (a, x) in enumerate(zip(args, v))]
+        if len(out) == 2 and out[0] > out[1]:
+            raise ConfigError(path, f"low bound exceeds high bound: {v!r}")
+        return out
+    if hint is str and not isinstance(v, str):
         raise ConfigError(path, f"expected a string, got {v!r}")
-    if choices is not None and v not in choices:
-        raise ConfigError(path, f"must be one of {list(choices)}, got {v!r}")
+    if hint is int and not _is_int(v):
+        raise ConfigError(path, f"expected an integer, got {v!r}")
+    if hint is float:
+        if not (_is_int(v) or isinstance(v, float)):
+            raise ConfigError(path, f"expected a number, got {v!r}")
+        v = float(v)
+    if isinstance(v, str):
+        if bound is not None and v not in bound:
+            raise ConfigError(path, f"must be one of {list(bound)}, got {v!r}")
+    elif bound == _POSITIVE:
+        if not v > 0:
+            raise ConfigError(path, f"must be positive, got {v}")
+    elif bound is not None:
+        lo, hi = bound
+        if v < lo:
+            raise ConfigError(path, f"must be at least {lo}, got {v}")
+        if hi is not None and v > hi:
+            raise ConfigError(path, f"must be at most {hi}, got {v}")
     return v
 
 
-def _check_num_list(v, path, lo=None):
-    if not isinstance(v, (list, tuple)) or len(v) == 0:
-        raise ConfigError(path, f"expected a non-empty list of numbers, got {v!r}")
-    return [_check_num(x, f"{path}[{i}]", lo=lo) for i, x in enumerate(v)]
-
-
-def _check_int_list(v, path, lo=None):
-    if not isinstance(v, (list, tuple)) or len(v) == 0:
-        raise ConfigError(path, f"expected a non-empty list of integers, got {v!r}")
-    return [_check_int(x, f"{path}[{i}]", lo=lo) for i, x in enumerate(v)]
-
-
-def _check_pair(v, path, lo=None, integer=False):
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ConfigError(path, f"expected a [low, high] pair, got {v!r}")
-    check = _check_int if integer else _check_num
-    low = check(v[0], f"{path}[0]", lo=lo)
-    high = check(v[1], f"{path}[1]", lo=lo)
-    if low > high:
-        raise ConfigError(path, f"low bound exceeds high bound: {v!r}")
-    return [low, high]
-
-
-def _check_scales(v, path):
-    if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise ConfigError(path, f"expected three reward scales, got {v!r}")
-    return [_check_num(x, f"{path}[{i}]") for i, x in enumerate(v)]
-
-
-# ------------------------------------------------------------------ schema
-#
-# section -> field -> (checker lambda, default); None default plus
-# required=True marks fields that must be present.
-
-_TOP_FIELDS = {
-    "mode": (lambda v, p: _check_str(v, p, choices=MODES), None),
-    "seed": (lambda v, p: _check_int(v, p, lo=0), 0),
-    "output_dir": (_check_str, "artifacts"),
-    "workers": (lambda v, p: _check_int(v, p, lo=1), 1),
-    "action_set": (lambda v, p: _check_str(v, p, choices=ACTION_SET_KINDS), "site_by_site"),
-}
-
-_SECTIONS = {
-    "chain": {
-        "n": (lambda v, p: _check_int(v, p, lo=2), None),
-        "coupling": (lambda v, p: _check_num(v, p), 1.0),
-        "dt": (lambda v, p: _check_num(v, p), 0.15),
-        "field_strength": (lambda v, p: _check_num(v, p), 100.0),
-    },
-    "ga": {
-        "population_size": (lambda v, p: _check_int(v, p, lo=2), 4096),
-        "max_generations": (lambda v, p: _check_int(v, p, lo=1), 1000),
-        "saturation": (lambda v, p: _check_int(v, p, lo=1), 30),
-        "parents_mating": (lambda v, p: _check_int(v, p, lo=2), 409),
-        "keep_elitism": (lambda v, p: _check_int(v, p, lo=0), 409),
-        "crossover_probability": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.8),
-        "mutation_probability": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.99),
-        "mutated_genes": (lambda v, p: _check_opt_int(v, p, lo=0), None),
-        "target_probability": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.99),
-        "n_seeds": (lambda v, p: _check_int(v, p, lo=1), 30),
-    },
-    "dqn": {
-        "gamma": (lambda v, p: _check_num(v, p), 0.95),
-        "learning_rate": (lambda v, p: _check_num(v, p), 0.01),
-        "hidden1": (lambda v, p: _check_int(v, p, lo=1), 120),
-        "hidden2": (lambda v, p: _check_opt_int(v, p, lo=1), None),
-        "minibatch": (lambda v, p: _check_int(v, p, lo=1), 32),
-        "replay_capacity": (lambda v, p: _check_int(v, p, lo=1), 40000),
-        "learning_period": (lambda v, p: _check_int(v, p, lo=1), 5),
-        "target_sync_period": (lambda v, p: _check_int(v, p, lo=1), 200),
-        "episodes": (lambda v, p: _check_int(v, p, lo=1), 50000),
-        "epsilon_start": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 1.0),
-        "epsilon_floor": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.01),
-        "epsilon_decay": (lambda v, p: _check_num(v, p, lo=0.0), 1e-4),
-        "fidelity_threshold": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.0),
-        "noise_p": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.0),
-        "noise_delta": (lambda v, p: _check_num(v, p, lo=0.0), 0.0),
-        "reward": ("subsection", None),
-    },
-    "reward": {
-        "zeta": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.05),
-        "high": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.9),
-        "scales": (_check_scales, [0.0, 10.0, 2500.0]),
-    },
-    "validate": {
-        "controller": (lambda v, p: _check_str(v, p, choices=("ga", "dqn")), "ga"),
-        "p_values": (lambda v, p: _check_num_list(v, p, lo=0.0), list(DEFAULT_NOISE_LEVELS)),
-        "delta_values": (lambda v, p: _check_num_list(v, p, lo=0.0), list(DEFAULT_NOISE_LEVELS)),
-        "runs": (lambda v, p: _check_int(v, p, lo=1), 100),
-    },
-    "sweep": {
-        "h_values": (lambda v, p: _check_num_list(v, p, lo=0.0), [25.0, 50.0, 100.0, 200.0]),
-        "dt_values": (lambda v, p: _check_num_list(v, p), [0.05, 0.1, 0.15, 0.2]),
-    },
-    "histogram": {
-        "n_sequences": (lambda v, p: _check_int(v, p, lo=1), 1000),
-        "threshold": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.99),
-        "max_runs": (lambda v, p: _check_int(v, p, lo=1), 200),
-    },
-    "scaling": {
-        "lengths": (lambda v, p: _check_int_list(v, p, lo=2), [16, 32, 64, 128]),
-        "n_seeds": (lambda v, p: _check_int(v, p, lo=1), 3),
-    },
-    "hpo": {
-        "trials": (lambda v, p: _check_int(v, p, lo=1), 32),
-        "val_runs": (lambda v, p: _check_int(v, p, lo=1), 100),
-        "gamma": (lambda v, p: _check_pair(v, p), [0.95, 1.0]),
-        "learning_rate": (lambda v, p: _check_pair(v, p, lo=1e-12), [1e-5, 1e-2]),
-        "hidden1": (lambda v, p: _check_pair(v, p, lo=1, integer=True), [512, 4096]),
-        "noise_p": (lambda v, p: _check_num(v, p, lo=0.0, hi=1.0), 0.25),
-        "noise_delta": (lambda v, p: _check_num(v, p, lo=0.0), 0.25),
-    },
-    "baseline": {
-        "n_steps": (lambda v, p: _check_opt_int(v, p, lo=0), None),
-    },
-}
-
-
-def _resolve_section(name: str, data, schema: dict) -> dict:
+def _resolve_section(path: str, data, schema: dict, missing: list) -> dict:
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ConfigError(name, f"expected a mapping, got {data!r}")
+        raise ConfigError(path, f"expected a mapping, got {data!r}")
     out = {}
-    for key, value in data.items():
+    # given keys first, in their order, so the first bad one is reported
+    for key in [*data, *(k for k in schema if k not in data)]:
+        sub = f"{path}.{key}" if path else str(key)
         if key not in schema:
-            raise ConfigError(f"{name}.{key}" if name else str(key), "unknown key")
-        check, _default = schema[key]
-        path = f"{name}.{key}" if name else str(key)
-        if check == "subsection":
-            out[key] = _resolve_section(path, value, _SECTIONS[key])
+            raise ConfigError(sub, "unknown key")
+        hint, default = schema[key]
+        if dataclasses.is_dataclass(hint):
+            out[key] = _resolve_section(sub, data.get(key), _schema(hint), missing)
+        elif key in data:
+            out[key] = _check(hint, data[key], sub, _BOUNDS.get(sub))
+        elif default is dataclasses.MISSING:
+            missing.append(sub)
         else:
-            out[key] = check(value, path)
-    for key, (check, default) in schema.items():
-        if key in out:
-            continue
-        if check == "subsection":
-            out[key] = _resolve_section(f"{name}.{key}" if name else key, {}, _SECTIONS[key])
-        else:
-            # copy list defaults so resolved configs never alias the schema
-            out[key] = list(default) if isinstance(default, list) else default
+            # tuple defaults resolve to lists, the form YAML reads back
+            out[key] = list(default) if isinstance(default, tuple) else default
     return out
 
 
 def resolve(data: dict | None) -> dict:
     """Validate a raw mapping and fill in every default."""
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+    if data is not None and not isinstance(data, dict):
         raise ConfigError("", f"config must be a mapping, got {type(data).__name__}")
-    out = {}
-    for key, value in data.items():
-        if key in _TOP_FIELDS:
-            check, _default = _TOP_FIELDS[key]
-            out[key] = check(value, key)
-        elif key in _SECTIONS and key != "reward":
-            out[key] = _resolve_section(key, value, _SECTIONS[key])
-        else:
-            raise ConfigError(str(key), "unknown key")
-    for key, (check, default) in _TOP_FIELDS.items():
-        out.setdefault(key, default)
-    for key in _SECTIONS:
-        if key == "reward":
-            continue
-        out.setdefault(key, _resolve_section(key, {}, _SECTIONS[key]))
-    if out["chain"]["n"] is None:
-        raise ConfigError("chain.n", "required (chain length)")
+    missing = []
+    out = _resolve_section("", data, _TOP, missing)
+    if missing:
+        raise ConfigError(missing[0], f"required ({_REQUIRED[missing[0]]})")
     if out["mode"] is None:
         del out["mode"]
     return out
@@ -280,129 +302,36 @@ def apply_overrides(data: dict, overrides) -> dict:
     return data
 
 
-# ------------------------------------------------------------- typed form
-
-
-@dataclass
-class ValidateSettings:
-    controller: str
-    p_values: tuple
-    delta_values: tuple
-    runs: int
-
-
-@dataclass
-class SweepSettings:
-    h_values: tuple
-    dt_values: tuple
-
-
-@dataclass
-class HistogramSettings:
-    n_sequences: int
-    threshold: float
-    max_runs: int
-
-
-@dataclass
-class ScalingSettings:
-    lengths: tuple
-    n_seeds: int
-
-
-@dataclass
-class HpoSettings:
-    trials: int
-    val_runs: int
-    ranges: HpoRanges
-    noise_p: float
-    noise_delta: float
-
-
-@dataclass
-class BaselineSettings:
-    n_steps: int | None
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved, typed experiment description."""
-
-    mode: str | None
-    seed: int
-    output_dir: str
-    workers: int
-    action_set_kind: str
-    chain: ChainSpec
-    ga: GaConfig
-    dqn: DqnConfig
-    validate: ValidateSettings
-    sweep: SweepSettings
-    histogram: HistogramSettings
-    scaling: ScalingSettings
-    hpo: HpoSettings
-    baseline: BaselineSettings
-    resolved: dict
+def _build_section(cls, section: dict):
+    """``cls(**section)``, with lists as tuples and subsections built first."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            inner = section[_SUBSECTIONS[f.name]] if f.name in _SUBSECTIONS else section
+            kwargs[f.name] = _build_section(hint, inner)
+        else:
+            value = section[f.name]
+            kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 def _build(resolved: dict) -> ExperimentConfig:
-    try:
-        chain = ChainSpec(**resolved["chain"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("chain", str(exc)) from None
-    try:
-        ga = GaConfig(**resolved["ga"])
-    except ValueError as exc:
-        raise ConfigError("ga", str(exc)) from None
-    dqn_fields = dict(resolved["dqn"])
-    reward_fields = dqn_fields.pop("reward")
-    try:
-        reward_table = RewardTable(
-            zeta=reward_fields["zeta"],
-            high=reward_fields["high"],
-            scales=tuple(reward_fields["scales"]),
-        )
-        dqn = DqnConfig(reward_table=reward_table, **dqn_fields)
-    except ValueError as exc:
-        raise ConfigError("dqn", str(exc)) from None
-    hpo = resolved["hpo"]
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        try:
+            sections[name] = _build_section(cls, resolved[name])
+        except ValueError as exc:
+            raise ConfigError(name, str(exc)) from None
     return ExperimentConfig(
         mode=resolved.get("mode"),
         seed=resolved["seed"],
         output_dir=resolved["output_dir"],
         workers=resolved["workers"],
         action_set_kind=resolved["action_set"],
-        chain=chain,
-        ga=ga,
-        dqn=dqn,
-        validate=ValidateSettings(
-            controller=resolved["validate"]["controller"],
-            p_values=tuple(resolved["validate"]["p_values"]),
-            delta_values=tuple(resolved["validate"]["delta_values"]),
-            runs=resolved["validate"]["runs"],
-        ),
-        sweep=SweepSettings(
-            h_values=tuple(resolved["sweep"]["h_values"]),
-            dt_values=tuple(resolved["sweep"]["dt_values"]),
-        ),
-        histogram=HistogramSettings(**resolved["histogram"]),
-        scaling=ScalingSettings(
-            lengths=tuple(resolved["scaling"]["lengths"]),
-            n_seeds=resolved["scaling"]["n_seeds"],
-        ),
-        hpo=HpoSettings(
-            trials=hpo["trials"],
-            val_runs=hpo["val_runs"],
-            ranges=HpoRanges(
-                gamma=tuple(hpo["gamma"]),
-                learning_rate=tuple(hpo["learning_rate"]),
-                hidden1=tuple(hpo["hidden1"]),
-            ),
-            noise_p=hpo["noise_p"],
-            noise_delta=hpo["noise_delta"],
-        ),
-        baseline=BaselineSettings(**resolved["baseline"]),
         resolved=resolved,
+        **sections,
     )
 
 

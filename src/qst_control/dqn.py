@@ -47,21 +47,12 @@ class RewardTable:
         if len(self.scales) != 3:
             raise ValueError(f"scales must have three entries, got {self.scales}")
 
-    def __call__(self, p: float, is_final_step: bool = False) -> float:
+    def __call__(self, p: float) -> float:
         if p < self.zeta:
             return self.scales[0] * p
         if p < self.high:
             return self.scales[1] * p
         return self.scales[2] * p
-
-
-def reward(p_t: float, zeta: float = 0.05, is_final_step: bool = False) -> float:
-    """Default-table reward for one step.
-
-    ``is_final_step`` is accepted for schemes that pay only on arrival; the
-    default table ignores it and pays per step.
-    """
-    return RewardTable(zeta=zeta)(p_t, is_final_step)
 
 
 @dataclass
@@ -238,7 +229,7 @@ def epsilon_greedy(net: QNetwork, state: np.ndarray, epsilon: float, gen: np.ran
 def td_update(
     net: QNetwork,
     target_net: QNetwork,
-    batch: "Batch | list[Experience]",
+    batch: Batch,
     gamma: float,
     learning_rate: float,
 ) -> float:
@@ -247,14 +238,6 @@ def td_update(
     Targets are r + gamma * max_a' q_target(s')[a'], with the bootstrap
     dropped on terminal transitions.
     """
-    if not isinstance(batch, Batch):
-        batch = Batch(
-            states=np.stack([e.state for e in batch]),
-            actions=np.array([e.action for e in batch], dtype=np.int64),
-            rewards=np.array([e.reward for e in batch]),
-            next_states=np.stack([e.next_state for e in batch]),
-            terminals=np.array([e.terminal for e in batch], dtype=bool),
-        )
     q_next = target_net.q_batch(batch.next_states).max(axis=1)
     targets = batch.rewards + gamma * q_next * ~batch.terminals
     loss, grads = net.loss_and_gradients(batch.states, batch.actions, targets)
@@ -343,15 +326,14 @@ def train(
                 if gate is not None:
                     psi = gate * psi
             p = float(np.abs(psi[-1]) ** 2)
-            is_final = t == length - 1
-            terminal = is_final or (
+            terminal = t == length - 1 or (
                 config.fidelity_threshold > 0.0 and p >= config.fidelity_threshold
             )
             memory.push(
                 Experience(
                     state=state,
                     action=a,
-                    reward=config.reward_table(p, is_final),
+                    reward=config.reward_table(p),
                     next_state=encode_state(psi),
                     terminal=terminal,
                 )

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .actions import ActionSet, build_cache
-from .chain import ChainSpec, evolve_lockstep, evolve_population, evolve_sequence
+from .chain import ChainSpec, evolve_lockstep, evolve_population
 from .noise import NoiseModel
 from .rng import RandomStream, as_stream
 
@@ -113,18 +113,6 @@ class Population:
     genes: np.ndarray
     fitness: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return self.genes.shape[0]
-
-    def chromosome(self, i: int) -> Chromosome:
-        fit = None if self.fitness is None else float(self.fitness[i])
-        return Chromosome(genes=self.genes[i].copy(), fitness=fit)
-
-    def best(self) -> Chromosome:
-        if self.fitness is None:
-            raise ValueError("population has not been evaluated yet")
-        return self.chromosome(int(np.argmax(self.fitness)))
-
 
 def init_population(
     config: GaConfig,
@@ -140,28 +128,15 @@ def init_population(
     return Population(genes=genes)
 
 
-def fitness(
-    chromosome,
-    cache,
-    noise: NoiseModel | None = None,
-    rng: "RandomStream | np.random.Generator | None" = None,
-) -> float:
-    """Trajectory maximum of the transmission probability for one sequence."""
-    genes = chromosome.genes if isinstance(chromosome, Chromosome) else np.asarray(chromosome)
-    return evolve_sequence(genes, cache, noise=noise, rng=rng).max_probability
-
-
-def select_parents_sss(population: Population, k: int) -> np.ndarray:
+def select_parents_sss(fitness: np.ndarray, k: int) -> np.ndarray:
     """Steady-state selection: indices of the k fittest individuals.
 
     Ties resolve to the lower population index, so selection is fully
     deterministic given the fitness array.
     """
-    if population.fitness is None:
-        raise ValueError("population has not been evaluated yet")
-    if not 1 <= k <= len(population):
-        raise ValueError(f"k must lie in [1, {len(population)}], got {k}")
-    order = np.argsort(-population.fitness, kind="stable")
+    if not 1 <= k <= len(fitness):
+        raise ValueError(f"k must lie in [1, {len(fitness)}], got {k}")
+    order = np.argsort(-fitness, kind="stable")
     return order[:k]
 
 
@@ -198,9 +173,9 @@ def swap_mutation(genes, probability: float, mutated_genes: int, gen: np.random.
     n_swaps = mutated_genes // 2
     if gen.random() >= probability or length < 2 or n_swaps == 0:
         return out
-    for _ in range(n_swaps):
-        i = int(gen.integers(0, length))
-        j = int(gen.integers(0, length - 1))
+    # one call draws the (i, j) pairs in the order one call per index would
+    draws = gen.integers(0, [length, length - 1] * n_swaps).tolist()
+    for i, j in zip(draws[::2], draws[1::2]):
         if j >= i:
             j += 1
         out[i], out[j] = out[j], out[i]
@@ -280,10 +255,9 @@ def run_ga(
             halt = HaltReason.MAX_GENERATIONS
             break
 
-        population = Population(genes=genes, fitness=fit)
-        order = np.argsort(-fit, kind="stable")
-        parent_idx = order[: config.parents_mating]
-        elite_idx = order[: config.keep_elitism]
+        ranked = select_parents_sss(fit, max(config.parents_mating, config.keep_elitism))
+        parent_idx = ranked[: config.parents_mating]
+        elite_idx = ranked[: config.keep_elitism]
         pool = genes[parent_idx]
 
         children = np.empty((n_offspring, length), dtype=np.int64)
@@ -303,13 +277,13 @@ def run_ga(
         best_hist.append(float(fit.max()))
         mean_hist.append(float(fit.mean()))
 
-    final = Population(genes=genes, fitness=fit)
+    best = int(np.argmax(fit))
     return GaRunRecord(
-        best_chromosome=final.best(),
+        best_chromosome=Chromosome(genes=genes[best].copy(), fitness=float(fit[best])),
         best_fitness_per_generation=np.array(best_hist),
         mean_fitness_per_generation=np.array(mean_hist),
         halt_reason=halt,
         generations_run=generation,
         wall_time=time.perf_counter() - t0,
-        final_population=final,
+        final_population=Population(genes=genes, fitness=fit),
     )

@@ -443,9 +443,9 @@ class HpoRanges:
     """Random-search ranges: gamma uniform, learning rate log-uniform,
     first hidden width integer-uniform (inclusive)."""
 
-    gamma: tuple = (0.95, 1.0)
-    learning_rate: tuple = (1e-5, 1e-2)
-    hidden1: tuple = (512, 4096)
+    gamma: tuple[float, float] = (0.95, 1.0)
+    learning_rate: tuple[float, float] = (1e-5, 1e-2)
+    hidden1: tuple[int, int] = (512, 4096)
 
 
 @dataclass

@@ -1,7 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from qst_control import ChainSpec, build_cache, site_by_site_set
+# One BLAS thread for the whole session, set before numpy loads.  The
+# products here are small (blocks of a few dozen rows times an n x n
+# propagator); a threaded BLAS splits them for no gain and, on a busy
+# machine, its threads wait on each other: a 64-row product then takes
+# milliseconds instead of microseconds.  A fixed count also keeps results
+# that depend on the BLAS thread count the same on every machine.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from qst_control import ChainSpec, build_cache, site_by_site_set  # noqa: E402
 
 
 @pytest.hookimpl(hookwrapper=True)

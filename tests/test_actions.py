@@ -3,7 +3,7 @@ import pytest
 
 from oracles import propagator_oracle
 from qst_control import ChainSpec, build_cache, site_by_site_set, zhang16_set
-from qst_control.actions import make_action_set, zhang16_id_from_sites, zhang16_sites
+from qst_control.actions import make_action_set, zhang16_sites
 from qst_control.chain import build_step_hamiltonian
 
 
@@ -16,8 +16,6 @@ def test_site_by_site_masks():
         expected = np.zeros(4)
         expected[k - 1] = 100.0
         np.testing.assert_array_equal(s[k].field_mask, expected)
-        assert s[k].support == (k - 1,)
-    assert s.masks.shape == (5, 4)
 
 
 def test_site_by_site_validation():
@@ -55,31 +53,10 @@ def test_zhang16_support_table():
     assert zhang16_sites(15, n) == tuple(range(8))
 
 
-def test_zhang16_id_round_trip():
-    for n in (6, 9, 32):
-        for a in range(16):
-            assert zhang16_id_from_sites(zhang16_sites(a, n), n) == a
-
-
-def test_zhang16_id_rejects_unreachable_support():
-    with pytest.raises(ValueError):
-        zhang16_id_from_sites((3,), 8)
-    with pytest.raises(ValueError):
-        zhang16_id_from_sites((0, 7), 8)
-
-
 def test_zhang16_masks_distinct_even_at_minimum_size():
     s = zhang16_set(6)
     patterns = {tuple(a.field_mask) for a in s.actions}
     assert len(patterns) == 16
-
-
-def test_mask_id_round_trip():
-    for s in (site_by_site_set(5), zhang16_set(7)):
-        for a in s.actions:
-            assert s.id_from_mask(a.field_mask) == a.id
-    with pytest.raises(ValueError):
-        site_by_site_set(5).id_from_mask(np.full(5, 3.0))
 
 
 def test_make_action_set():

@@ -237,9 +237,8 @@ def test_evolve_sequence_matches_on_the_fly_exponentials(cache4, spec4):
     psi = np.zeros(spec4.n, dtype=complex)
     psi[0] = 1.0
     probs = []
-    masks = cache4.action_set.masks
     for a in seq:
-        h = build_step_hamiltonian(spec4, masks[a])
+        h = build_step_hamiltonian(spec4, cache4.action_set[a].field_mask)
         psi = propagator_oracle(h, spec4.dt) @ psi
         probs.append(abs(psi[-1]) ** 2)
     np.testing.assert_allclose(traj.probabilities, probs, atol=1e-10)

@@ -3,7 +3,22 @@ import textwrap
 import pytest
 import yaml
 
-from qst_control.config import ConfigError, apply_overrides, describe, load_config, resolve
+from qst_control.chain import ChainSpec
+from qst_control.config import (
+    BaselineSettings,
+    ConfigError,
+    HistogramSettings,
+    ScalingSettings,
+    SweepSettings,
+    ValidateSettings,
+    apply_overrides,
+    describe,
+    load_config,
+    resolve,
+)
+from qst_control.dqn import DqnConfig
+from qst_control.ga import GaConfig
+from qst_control.harness import HpoRanges
 
 
 def minimal(**extra):
@@ -157,3 +172,82 @@ def test_describe_round_trips():
     assert reparsed == config.resolved
     assert "# " in text  # derived quantities are present as comments
     assert "n_steps: 30" in text
+
+
+# One bad value per checker kind: (overrides, ConfigError.path, message prefix).
+# Sections whose dataclass rejects a combination report the section itself.
+ERROR_PATHS = [
+    (["chain.n=8.5"], "chain.n", "chain.n: expected an integer"),
+    (["seed=true"], "seed", "seed: expected an integer"),
+    (["output_dir=5"], "output_dir", "output_dir: expected a string"),
+    (["ga.mutated_genes=-1"], "ga.mutated_genes", "ga.mutated_genes: must be at least 0"),
+    (["ga=5"], "ga", "ga: expected a mapping"),
+    (
+        ["validate.delta_values=[0.1, -1]"],
+        "validate.delta_values[1]",
+        "validate.delta_values[1]: must be at least 0.0",
+    ),
+    (["scaling.lengths=[1]"], "scaling.lengths[0]", "scaling.lengths[0]: must be at least 2"),
+    (["hpo.hidden1=[1.5, 2]"], "hpo.hidden1[0]", "hpo.hidden1[0]: expected an integer"),
+    (["dqn.reward.scales=[1, 2]"], "dqn.reward.scales", "dqn.reward.scales: expected three"),
+    (
+        ["dqn.minibatch=64", "dqn.replay_capacity=32"],
+        "dqn",
+        "dqn: replay_capacity must be at least the minibatch size",
+    ),
+    (["dqn.reward.zeta=0.95"], "dqn", "dqn: need 0 <= zeta <= high <= 1"),
+    # impossible noise levels and step lengths fail here, not mid-run
+    (["validate.p_values=[1.5]"], "validate.p_values[0]", "validate.p_values[0]: must be at most 1.0"),
+    (["sweep.dt_values=[0.15, -0.1]"], "sweep.dt_values[1]", "sweep.dt_values[1]: must be positive"),
+]
+
+
+@pytest.mark.parametrize("overrides, path, prefix", ERROR_PATHS)
+def test_config_error_paths(overrides, path, prefix):
+    if not overrides[0].startswith("chain."):
+        overrides = ["chain.n=8"] + overrides
+    with pytest.raises(ConfigError) as info:
+        load_config(overrides=overrides)
+    assert info.value.path == path
+    assert str(info.value).startswith(prefix)
+
+
+def test_defaults_are_the_dataclass_defaults():
+    # a CLI run and a library run of the default setup build equal objects
+    config = load_config(overrides=["chain.n=8"])
+    assert config.chain == ChainSpec(n=8)
+    assert config.ga == GaConfig()
+    assert config.dqn == DqnConfig()
+    assert config.hpo.ranges == HpoRanges()
+    assert config.validate == ValidateSettings()
+    assert config.sweep == SweepSettings()
+    assert config.histogram == HistogramSettings()
+    assert config.scaling == ScalingSettings()
+    assert config.baseline == BaselineSettings()
+
+
+def test_describe_round_trips_every_section(tmp_path):
+    overrides = [
+        "mode=ga",
+        "seed=3",
+        "action_set=zhang16",
+        "chain.n=6",
+        "chain.dt=0.2",
+        "ga.population_size=64",
+        "ga.parents_mating=16",
+        "ga.keep_elitism=8",
+        "dqn.gamma=0.9",
+        "dqn.hidden2=7",
+        "dqn.reward.scales=[0, 1, 2]",
+        "validate.p_values=[0.5]",
+        "sweep.dt_values=[0.3]",
+        "histogram.threshold=0.5",
+        "scaling.lengths=[8, 12]",
+        "hpo.hidden1=[64, 128]",
+        "hpo.noise_p=0.5",
+        "baseline.n_steps=10",
+    ]
+    config = load_config(overrides=overrides)
+    described = tmp_path / "described.yaml"
+    described.write_text(describe(config))
+    assert load_config(described) == config

@@ -12,7 +12,6 @@ from qst_control.dqn import (
     RewardTable,
     epsilon_greedy,
     greedy_rollout,
-    reward,
     td_update,
     train,
 )
@@ -43,15 +42,6 @@ def test_reward_table_reference_points():
     assert r(0.899) == pytest.approx(8.99)
     assert r(0.9) == pytest.approx(2250.0)
     assert r(1.0) == pytest.approx(2500.0)
-
-
-def test_reward_function_matches_table():
-    for p in (0.0, 0.04, 0.05, 0.5, 0.9, 0.99):
-        assert reward(p) == RewardTable()(p)
-    # the final-step flag exists for arrival-only schemes; the default
-    # table pays per step regardless
-    assert reward(0.5, is_final_step=True) == reward(0.5, is_final_step=False)
-    assert reward(0.04, zeta=0.03) == pytest.approx(0.4)
 
 
 def test_reward_table_validation():
@@ -216,13 +206,23 @@ def test_epsilon_greedy_draw_discipline():
 # --------------------------------------------------------------- td update
 
 
+def batch_of(*exps):
+    return Batch(
+        states=np.stack([e.state for e in exps]),
+        actions=np.array([e.action for e in exps], dtype=np.int64),
+        rewards=np.array([e.reward for e in exps]),
+        next_states=np.stack([e.next_state for e in exps]),
+        terminals=np.array([e.terminal for e in exps], dtype=bool),
+    )
+
+
 def test_td_update_terminal_drops_bootstrap():
     net = QNetwork(4, 6, 3, 2, rng=RandomStream(1))
     target = net.clone()
     state = np.array([0.1, -0.2, 0.3, 0.4])
     q_before = net.q_values(state)[0]
     exp = Experience(state=state, action=0, reward=7.0, next_state=state * 2, terminal=True)
-    loss = td_update(net, target, [exp], gamma=0.9, learning_rate=0.0)
+    loss = td_update(net, target, batch_of(exp), gamma=0.9, learning_rate=0.0)
     assert loss == pytest.approx((q_before - 7.0) ** 2, rel=1e-12)
 
 
@@ -234,29 +234,8 @@ def test_td_update_bootstraps_from_target_network():
     q_before = net.q_values(state)[1]
     boot = target.q_values(nxt).max()
     exp = Experience(state=state, action=1, reward=2.0, next_state=nxt, terminal=False)
-    loss = td_update(net, target, [exp], gamma=0.9, learning_rate=0.0)
+    loss = td_update(net, target, batch_of(exp), gamma=0.9, learning_rate=0.0)
     assert loss == pytest.approx((q_before - (2.0 + 0.9 * boot)) ** 2, rel=1e-12)
-
-
-def test_td_update_accepts_batch_and_list():
-    exps = [
-        Experience(np.arange(4.0), 0, 1.0, np.arange(4.0) + 1, False),
-        Experience(np.arange(4.0) * 2, 1, -1.0, np.arange(4.0) - 1, True),
-    ]
-    batch = Batch(
-        states=np.stack([e.state for e in exps]),
-        actions=np.array([e.action for e in exps]),
-        rewards=np.array([e.reward for e in exps]),
-        next_states=np.stack([e.next_state for e in exps]),
-        terminals=np.array([e.terminal for e in exps]),
-    )
-    net1 = QNetwork(4, 6, 3, 2, rng=RandomStream(3))
-    net2 = net1.clone()
-    target = net1.clone()
-    l1 = td_update(net1, target, exps, gamma=0.9, learning_rate=0.01)
-    l2 = td_update(net2, target, batch, gamma=0.9, learning_rate=0.01)
-    assert l1 == l2
-    assert net1.state_equal(net2)
 
 
 def test_td_update_actually_descends():
@@ -267,7 +246,8 @@ def test_td_update_actually_descends():
         Experience(gen.normal(size=4), int(gen.integers(0, 3)), float(gen.normal()), gen.normal(size=4), True)
         for _ in range(16)
     ]
-    losses = [td_update(net, target, exps, gamma=0.9, learning_rate=0.01) for _ in range(50)]
+    batch = batch_of(*exps)
+    losses = [td_update(net, target, batch, gamma=0.9, learning_rate=0.01) for _ in range(50)]
     assert losses[-1] < losses[0]
 
 
@@ -277,7 +257,7 @@ def test_td_update_aborts_on_divergence():
     exp = Experience(np.ones(4), 0, 1e3, np.ones(4), True)
     with pytest.raises(RuntimeError, match="diverged"), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(200):
-            td_update(net, target, [exp], gamma=0.9, learning_rate=1e6)
+            td_update(net, target, batch_of(exp), gamma=0.9, learning_rate=1e6)
 
 
 # ------------------------------------------------------------------- train

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from oracles import enumerate_best
 from qst_control import ChainSpec, NoiseModel, RandomStream, build_cache, site_by_site_set
 from qst_control.ga import (
-    Chromosome,
     GaConfig,
     HaltReason,
-    Population,
-    fitness,
+    _evaluate,
     init_population,
     run_ga,
     select_parents_sss,
@@ -81,28 +79,25 @@ def test_init_population_shape_and_range():
 
 
 def test_fitness_is_trajectory_max(cache4):
-    genes = np.array([1, 0, 0, 2, 0, 3, 0, 0, 4, 0])
+    genes = np.array([[1, 0, 0, 2, 0, 3, 0, 0, 4, 0]])
     from qst_control import evolve_sequence
 
-    assert fitness(genes, cache4) == evolve_sequence(genes, cache4).max_probability
-    assert fitness(Chromosome(genes=genes), cache4) == fitness(genes, cache4)
+    fit = _evaluate(genes, cache4, None, RandomStream(0), generation=1)
+    np.testing.assert_allclose(fit, [evolve_sequence(genes[0], cache4).max_probability], atol=1e-15)
 
 
 def test_select_parents_sss_reference_example():
-    pop = Population(genes=np.zeros((4, 3), dtype=np.int64), fitness=np.array([0.1, 0.9, 0.5, 0.9]))
-    np.testing.assert_array_equal(select_parents_sss(pop, 2), [1, 3])
-    np.testing.assert_array_equal(select_parents_sss(pop, 3), [1, 3, 2])
+    fit = np.array([0.1, 0.9, 0.5, 0.9])
+    np.testing.assert_array_equal(select_parents_sss(fit, 2), [1, 3])
+    np.testing.assert_array_equal(select_parents_sss(fit, 3), [1, 3, 2])
 
 
 def test_select_parents_sss_errors():
-    pop = Population(genes=np.zeros((3, 2), dtype=np.int64))
+    fit = np.array([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
-        select_parents_sss(pop, 2)
-    pop.fitness = np.array([0.1, 0.2, 0.3])
+        select_parents_sss(fit, 0)
     with pytest.raises(ValueError):
-        select_parents_sss(pop, 0)
-    with pytest.raises(ValueError):
-        select_parents_sss(pop, 4)
+        select_parents_sss(fit, 4)
 
 
 def test_uniform_crossover_pass_through(gen):
@@ -268,7 +263,7 @@ def test_run_ga_record_contents(spec4):
     assert record.best_chromosome.genes.shape == (spec4.n_steps,)
     assert record.best_chromosome.fitness == record.best_fitness_per_generation[-1]
     assert record.wall_time > 0
-    assert len(record.final_population) == TINY.population_size
+    assert record.final_population.genes.shape == (TINY.population_size, spec4.n_steps)
     np.testing.assert_allclose(
         record.final_population.fitness.max(), record.best_chromosome.fitness, atol=1e-15
     )
