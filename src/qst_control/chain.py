@@ -221,16 +221,14 @@ class _NoiseWalk:
     """
 
     def __init__(self, noise: NoiseModel, n: int, rngs) -> None:
+        for r in rngs:
+            if not isinstance(r, RandomStream):
+                raise TypeError(f"a rollout draws its noise from a RandomStream, got {type(r).__name__}")
         self.p, self.delta, self.n = noise.p, noise.delta, n
-        self.gens = [r.generator() if isinstance(r, RandomStream) else r for r in rngs]
-        # Generators handed in by the caller get rewound by close()
-        self.borrowed = [
-            (i, g, g.bit_generator.state) for i, (r, g) in enumerate(zip(rngs, self.gens)) if r is g
-        ]
+        self.gens = [r.generator() for r in rngs]
         self.block = NOISE_BLOCK_STEPS * (n + 1)
         self.buf = np.empty((len(self.gens), self.block))
         self.pos = np.full(len(self.gens), self.block)  # first unread slot per run
-        self.drawn = np.zeros(len(self.gens), dtype=np.int64)
         self.rows = np.arange(len(self.gens))
         self.span = np.arange(n)
 
@@ -242,7 +240,6 @@ class _NoiseWalk:
             row[: self.block - k] = row[k:]
             self.gens[r].random(out=row[self.block - k :])
             self.pos[r] = 0
-            self.drawn[r] += k
         zeta = self.buf[self.rows, self.pos]
         self.pos += 1
         active = np.nonzero(zeta < self.p)[0]
@@ -250,14 +247,6 @@ class _NoiseWalk:
             xi = -1.0 + 2.0 * self.buf[active[:, None], self.pos[active, None] + self.span]
             self.pos[active] += self.n
             states[active] = np.exp(1j * self.delta * xi) * states[active]
-
-    def close(self) -> None:
-        """Leave each borrowed generator just past the variates its run used,
-        where step-by-step draws would have left it."""
-        used = self.drawn - (self.block - self.pos)
-        for r, gen, state in self.borrowed:
-            gen.bit_generator.state = state
-            gen.random(int(used[r]))
 
 
 @dataclass(frozen=True)
@@ -273,19 +262,30 @@ class Rollouts:
         return Trajectory(probabilities=self.probabilities[run], dt=dt, states=states)
 
 
-def _apply_actions(states: np.ndarray, unitaries: np.ndarray, col) -> np.ndarray:
-    """One step: U[a] on every row that takes action a, one product per group.
+def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, col) -> np.ndarray:
+    """One step: U[a] on every row that takes action a.
 
-    Row states are right-multiplied by the transposed view ``U[a].T``; for a
-    single row that is bit for bit ``U[a] @ psi``.
+    When every row takes the same action the step is ``states @ U[a].T`` on
+    the transposed view, which for one row is bit for bit ``U[a] @ psi``.
+    Otherwise a stable argsort lines up each action's rows as one block, in
+    row order, and every block, one-row blocks included, is multiplied by
+    the contiguous ``ut[a] = U[a].T``.  A row's bits then depend on its own
+    state and action and on the size of its block, not on the other rows.
+    ``states`` may be overwritten; the stepped states are the return value.
     """
-    groups = np.unique(col) if np.ndim(col) else [col]
-    if len(groups) == 1:
-        return states @ unitaries[groups[0]].T
-    for a in groups:
-        idx = np.nonzero(col == a)[0]
-        states[idx] = states[idx] @ unitaries[a].T
-    return states
+    if np.ndim(col):
+        order = np.argsort(col, kind="stable")
+        ranked = col[order]
+        starts = np.flatnonzero(np.diff(ranked, prepend=-1)).tolist()
+        if len(starts) != 1:
+            grouped = states[order]
+            # states is free now and takes the products in sorted order
+            for lo, hi in zip(starts, starts[1:] + [len(col)]):
+                np.matmul(grouped[lo:hi], ut[ranked[lo]], out=states[lo:hi])
+            grouped[order] = states
+            return grouped
+        col = ranked[0]
+    return states @ unitaries[col].T
 
 
 def evolve_lockstep(
@@ -309,17 +309,16 @@ def evolve_lockstep(
     n_steps:
         Control steps L.
     noise, rngs:
-        Optional dephasing model and one randomness source per run (a
-        RandomStream, opened here, or a Generator, which is left where
-        step-by-step draws would leave it).  Run r's realization depends on
-        ``rngs[r]`` alone; see :class:`_NoiseWalk` for the draw order.
+        Optional dephasing model and one RandomStream per run, opened here.
+        Run r's realization depends on ``rngs[r]`` alone; see
+        :class:`_NoiseWalk` for the draw order.
     record_states:
         Keep every run's state after every step, shape (R, L, n).
 
     The number of runs R is ``len(rngs)`` when given, else the number of
     schedule rows, else 1.  Each step applies one matrix product per
-    distinct action, as :func:`evolve_population` does, and probabilities
-    are recorded after that step's gate.
+    distinct action (see :func:`_apply_actions`), and probabilities are
+    recorded after that step's gate.
     """
     n_actions, n = unitaries.shape[0], unitaries.shape[1]
     policy = actions if callable(actions) else None
@@ -343,6 +342,9 @@ def evolve_lockstep(
         walk = _NoiseWalk(noise, n, rngs)
     states = np.zeros((n_runs, n), dtype=complex)
     states[:, 0] = 1.0
+    # rows can take different actions only under a 2-D schedule or a policy
+    mixed = n_runs > 1 and (policy is not None or actions.ndim == 2)
+    ut = unitaries.transpose(0, 2, 1).copy() if mixed else None
     if policy is None:
         taken = np.broadcast_to(actions, (n_runs, n_steps))
     else:
@@ -354,14 +356,12 @@ def evolve_lockstep(
             col = actions[..., t]
         else:
             col = taken[:, t] = policy(states)
-        states = _apply_actions(states, unitaries, col)
+        states = _apply_actions(states, unitaries, ut, col)
         if walk is not None:
             walk.apply(states)
         probs[:, t] = np.abs(states[:, -1]) ** 2
         if trail is not None:
             trail[:, t] = states
-    if walk is not None:
-        walk.close()
     return Rollouts(actions=taken, probabilities=probs, states=trail)
 
 
@@ -369,7 +369,7 @@ def evolve_sequence(
     sequence,
     cache,
     noise: NoiseModel | None = None,
-    rng: "RandomStream | np.random.Generator | None" = None,
+    rng: RandomStream | None = None,
     record_states: bool = False,
 ) -> Trajectory:
     """Evolve the excitation through one control sequence.
@@ -388,10 +388,9 @@ def evolve_sequence(
         activation variate, and an active step multiplies the state by
         random diagonal phases; probabilities are recorded after the gate.
     rng:
-        Randomness source, required when ``noise`` is given.  A
-        RandomStream is opened once at the start of the trajectory so the
-        whole realization is a pure function of the stream; a Generator is
-        left just past the variates the realization used.
+        Randomness source, required when ``noise`` is given.  The stream is
+        opened once at the start of the trajectory, so the whole
+        realization is a pure function of it.
     record_states:
         Keep the state vector after every step (for inspection/plots).
     """
@@ -403,60 +402,19 @@ def evolve_sequence(
     return run.trajectory(0, cache.dt)
 
 
-def evolve_population(genes: np.ndarray, cache, return_curves: bool = False):
-    """Noise-free batched evolution of many sequences at once.
+def evolve_population(genes: np.ndarray, cache) -> np.ndarray:
+    """Noise-free trajectory maxima of a (B, L) batch of action sequences.
 
-    Groups individuals by the action they take at each step and updates
-    each group with a single matrix product, which is what makes
-    population-scale fitness evaluation cheap.
-
-    Parameters
-    ----------
-    genes:
-        (B, L) integer array of action ids.
-    cache:
-        Propagator cache as in :func:`evolve_sequence`.
-    return_curves:
-        Also return the full (B, L) probability-vs-step array.
-
-    Returns
-    -------
-    max_p : (B,) float array of per-sequence trajectory maxima, or the
-    tuple ``(max_p, curves)`` when ``return_curves`` is set.
+    The clean case of :func:`evolve_lockstep`, which updates the rows that
+    take one action with a single matrix product; that is what makes
+    population-scale fitness evaluation cheap.  ``cache`` is as in
+    :func:`evolve_sequence`.  Returns a (B,) array, zeros when L = 0.
     """
     genes = np.asarray(genes, dtype=np.int64)
     if genes.ndim != 2:
         raise ValueError(f"genes must be a (B, L) matrix, got shape {genes.shape}")
-    unitaries = cache.unitaries
-    n_actions, n = unitaries.shape[0], unitaries.shape[1]
-    if genes.size and (genes.min() < 0 or genes.max() >= n_actions):
-        raise ValueError(f"gene values must lie in [0, {n_actions - 1}]")
-    batch, length = genes.shape
-    # Right-multiplying row-vector states by U^T applies U to every row.
-    ut = unitaries.transpose(0, 2, 1).copy()
-    states = np.zeros((batch, n), dtype=complex)
-    states[:, 0] = 1.0
-    stepped = np.empty_like(states)
-    max_p = np.zeros(batch)
-    curves = np.empty((batch, length)) if return_curves else None
-    for step in range(length):
-        col = genes[:, step]
-        # a stable sort makes each action's rows one block in row order, so
-        # each product sees the operand a gather of those rows would give
-        order = np.argsort(col, kind="stable")
-        ranked = col[order]
-        starts = np.flatnonzero(np.diff(ranked, prepend=-1)).tolist()
-        grouped = states[order]
-        for lo, hi in zip(starts, starts[1:] + [batch]):
-            np.matmul(grouped[lo:hi], ut[ranked[lo]], out=stepped[lo:hi])
-        states[order] = stepped
-        p = np.abs(states[:, -1]) ** 2
-        np.maximum(max_p, p, out=max_p)
-        if curves is not None:
-            curves[:, step] = p
-    if return_curves:
-        return max_p, curves
-    return max_p
+    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1])
+    return run.probabilities.max(axis=1, initial=0.0)
 
 
 def _free_propagator(spec: ChainSpec, tau: float) -> np.ndarray:

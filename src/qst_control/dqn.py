@@ -391,7 +391,7 @@ def greedy_rollout(
     action_set: ActionSet,
     spec: ChainSpec,
     noise: NoiseModel | None = None,
-    rng: "RandomStream | np.random.Generator | None" = None,
+    rng: RandomStream | None = None,
     cache: PropagatorCache | None = None,
 ) -> tuple[np.ndarray, Trajectory]:
     """Run the learned policy for one full sequence (no exploration).

@@ -65,8 +65,8 @@ class FixedSequenceController:
         """What :func:`evolve_lockstep` steps: the fixed schedule."""
         return self.sequence
 
-    def rollout(self, cache: PropagatorCache, noise=None, rng=None) -> Trajectory:
-        return evolve_sequence(self.sequence, cache, noise=noise, rng=rng)
+    def rollout(self, cache: PropagatorCache) -> Trajectory:
+        return evolve_sequence(self.sequence, cache)
 
 
 @dataclass
@@ -80,10 +80,8 @@ class GreedyPolicyController:
         """What :func:`evolve_lockstep` steps: the greedy policy."""
         return greedy_policy(self.network)
 
-    def rollout(self, cache: PropagatorCache, noise=None, rng=None) -> Trajectory:
-        _, traj = greedy_rollout(
-            self.network, cache.action_set, cache.spec, noise=noise, rng=rng, cache=cache
-        )
+    def rollout(self, cache: PropagatorCache) -> Trajectory:
+        _, traj = greedy_rollout(self.network, cache.action_set, cache.spec, cache=cache)
         return traj
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from qst_control import (
     step_propagator,
     transmission_probability,
 )
+from qst_control.chain import evolve_lockstep
 
 
 # ---------------------------------------------------------------- ChainSpec
@@ -256,6 +258,12 @@ def test_evolve_sequence_noise_requires_rng(cache4):
         evolve_sequence([0, 1], cache4, noise=NoiseModel(0.5, 0.25))
 
 
+def test_evolve_sequence_rejects_a_generator_as_rng(cache4):
+    # noise realizations are read from RandomStreams only; say so by type
+    with pytest.raises(TypeError, match="Generator"):
+        evolve_sequence([0, 1], cache4, noise=NoiseModel(0.5, 0.25), rng=np.random.default_rng(0))
+
+
 def test_noisy_trajectory_deterministic_per_stream(cache4):
     seq = np.array([1, 0, 2, 0, 3, 0, 4, 0])
     noise = NoiseModel(p=0.5, delta=0.3)
@@ -300,7 +308,8 @@ def test_noise_gate_preserves_site_populations(cache4):
 def test_population_evolution_matches_sequential(cache4):
     rng = np.random.default_rng(9)
     genes = rng.integers(0, len(cache4), size=(17, 25))
-    max_p, curves = evolve_population(genes, cache4, return_curves=True)
+    max_p = evolve_population(genes, cache4)
+    curves = evolve_lockstep(cache4.unitaries, genes, genes.shape[1]).probabilities
     for i in range(len(genes)):
         traj = evolve_sequence(genes[i], cache4)
         np.testing.assert_allclose(curves[i], traj.probabilities, atol=1e-12)
@@ -318,3 +327,37 @@ def test_population_evolution_single_row(cache4):
     genes = np.array([[0, 1, 2, 3]])
     (mp,) = evolve_population(genes, cache4)
     assert 0.0 <= mp <= 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _site_cache(n):
+    spec = ChainSpec(n=n)
+    return build_cache(site_by_site_set(n, spec.field_strength), spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), rows=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_row_order_permutes_results_bitwise(n, rows, seed):
+    # a row's bits depend on its own actions (and its own stream), never on
+    # where the rows that share its step sit in the batch
+    cache = _site_cache(n)
+    gen = np.random.default_rng(seed)
+    length = int(gen.integers(1, 3 * n))
+    genes = gen.integers(0, len(cache), (rows, length))
+    # steps where row 0 alone takes the last action: one-row groups
+    lonely = gen.random(length) < 0.5
+    genes[1:, lonely] %= len(cache) - 1
+    genes[0, lonely] = len(cache) - 1
+    # steps every row shares: one product for the whole batch
+    shared = gen.random(length) < 0.2
+    genes[:, shared] = genes[0, shared]
+    perm = gen.permutation(rows)
+
+    mine = evolve_population(genes[perm], cache)
+    assert mine.tobytes() == evolve_population(genes, cache)[perm].tobytes()
+
+    noise = NoiseModel(p=0.5, delta=0.7)
+    streams = [RandomStream(seed).substream(r) for r in range(rows)]
+    run = evolve_lockstep(cache.unitaries, genes, length, noise, streams)
+    moved = evolve_lockstep(cache.unitaries, genes[perm], length, noise, [streams[i] for i in perm])
+    assert moved.probabilities.tobytes() == run.probabilities[perm].tobytes()

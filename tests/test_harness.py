@@ -17,7 +17,6 @@ from qst_control.harness import (
     sweep_h_dt,
     validate_controller,
 )
-from qst_control.noise import NoiseModel
 from qst_control.qnet import QNetwork
 from qst_control.rng import RandomStream
 
@@ -67,12 +66,6 @@ def test_fixed_sequence_controller_replays_the_sequence(cache4):
     via = controller.rollout(cache4)
     assert np.array_equal(via.probabilities, direct.probabilities)
 
-    noise = NoiseModel(p=0.5, delta=0.3)
-    stream = RandomStream(11)
-    noisy_direct = evolve_sequence(seq, cache4, noise=noise, rng=stream)
-    noisy_via = controller.rollout(cache4, noise=noise, rng=stream)
-    assert np.array_equal(noisy_via.probabilities, noisy_direct.probabilities)
-
 
 def test_greedy_policy_controller_matches_rollout(spec4, cache4):
     net = QNetwork(2 * spec4.n, 12, 6, len(cache4.action_set), rng=RandomStream(5))
@@ -80,13 +73,6 @@ def test_greedy_policy_controller_matches_rollout(spec4, cache4):
     _, direct = greedy_rollout(net, cache4.action_set, spec4, cache=cache4)
     via = controller.rollout(cache4)
     assert np.array_equal(via.probabilities, direct.probabilities)
-
-    noise = NoiseModel(p=0.25, delta=0.25)
-    _, noisy_direct = greedy_rollout(
-        net, cache4.action_set, spec4, noise=noise, rng=RandomStream(7), cache=cache4
-    )
-    noisy_via = controller.rollout(cache4, noise=noise, rng=RandomStream(7))
-    assert np.array_equal(noisy_via.probabilities, noisy_direct.probabilities)
 
 
 # ------------------------------------------------------------ multi-seed GA
