@@ -149,17 +149,20 @@ def transmission_probability(state: np.ndarray) -> float:
     return float(np.abs(state[-1]) ** 2)
 
 
-def averaged_fidelity(p: float) -> float:
+def averaged_fidelity(p):
     """Transfer fidelity averaged over input states, f = p/6 + sqrt(p)/3 + 1/2.
 
     Assumes the arrival phase has been corrected (cos term at its maximum),
     so f(1) = 1 and f(0) = 1/2.  Values of p a few ulp outside [0, 1] from
-    floating-point roundoff are clamped; anything further out is rejected.
+    floating-point roundoff are clamped; others, NaN too, are rejected.
+    An array ``p`` gives an array of fidelities.
     """
-    if p < -1e-12 or p > 1.0 + 1e-12:
+    q = np.asarray(p, dtype=float)
+    if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
         raise ValueError(f"transmission probability must lie in [0, 1], got {p}")
-    p = min(max(p, 0.0), 1.0)
-    return p / 6.0 + math.sqrt(p) / 3.0 + 0.5
+    q = np.clip(q, 0.0, 1.0)
+    f = q / 6.0 + np.sqrt(q) / 3.0 + 0.5
+    return float(f) if f.ndim == 0 else f
 
 
 @dataclass(frozen=True)
@@ -207,39 +210,53 @@ class Trajectory:
 class _NoiseWalk:
     """Per-run dephasing realizations, read from blocks of variates.
 
-    Run r draws from its own generator in the order ``sample_noise_gate``
-    uses: one activation variate every step and, when it is below ``p``,
-    n phase variates ``xi = -1 + 2 u``.  The variates come from
-    ``gen.random(k)`` in blocks, which yields the same doubles as k scalar
-    draws, and ``-1 + 2 u`` is how ``gen.uniform(-1, 1)`` maps them, so
-    every realization is bit for bit the one ``sample_noise_gate`` draws.
+    Run r draws from the Philox stream of its key (one RandomStream per run
+    or an (R, 2) uint64 key array) in the order ``sample_noise_gate`` uses:
+    one activation variate every step and, when it is below ``p``, n phase
+    variates ``-1 + 2 u``, as ``gen.uniform(-1, 1)`` maps them.  So every
+    realization is bit for bit the one ``sample_noise_gate`` draws from
+    ``RandomStream(...).generator()``.
 
-    Each run holds one block of ``NOISE_BLOCK_STEPS * (n + 1)`` variates, at
-    least that many steps' worth.  A run whose unread tail is shorter than
-    one step's worst case (n + 1) moves the tail to the front and refills
-    behind it, so memory is R blocks whatever the trajectory length.
+    Each run buffers ``NOISE_BLOCK_STEPS * (n + 1)`` variates.  When its
+    unread tail is shorter than one step's worst case (n + 1), the tail
+    moves to the front and the walk's one Philox, set to the run's key and
+    block counter, refills behind it in whole 4-variate blocks (up to 3 read
+    variates move too, so none is skipped).
     """
 
-    def __init__(self, noise: NoiseModel, n: int, rngs) -> None:
-        for r in rngs:
-            if not isinstance(r, RandomStream):
-                raise TypeError(f"a rollout draws its noise from a RandomStream, got {type(r).__name__}")
+    def __init__(self, noise: NoiseModel, n: int, keys) -> None:
+        if not isinstance(keys, np.ndarray):
+            for r in keys:
+                if not isinstance(r, RandomStream):
+                    raise TypeError(f"a rollout draws its noise from a RandomStream, got {type(r).__name__}")
+            keys = np.array([r.key for r in keys], dtype=np.uint64).reshape(-1, 2)
         self.p, self.delta, self.n = noise.p, noise.delta, n
-        self.gens = [r.generator() for r in rngs]
-        self.block = NOISE_BLOCK_STEPS * (n + 1)
-        self.buf = np.empty((len(self.gens), self.block))
-        self.pos = np.full(len(self.gens), self.block)  # first unread slot per run
-        self.rows = np.arange(len(self.gens))
+        self.keys = keys.tolist()
+        self.block = NOISE_BLOCK_STEPS * (n + 1)  # a multiple of 4: the first fill takes all
+        self.buf = np.empty((len(keys), self.block))
+        self.pos = np.full(len(keys), self.block)  # first unread slot per run
+        self.drawn = [0] * len(keys)  # Philox blocks per run
+        # any seed: every refill sets key and counter with an empty output
+        # buffer; the state setter reads lists faster than arrays
+        self.gen = np.random.Generator(np.random.Philox(0))
+        self.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+                      "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.rows = np.arange(len(keys))
         self.span = np.arange(n)
 
     def apply(self, states: np.ndarray) -> None:
         """Draw one step's gates and dephase the active rows of ``states`` in place."""
-        for r in np.nonzero(self.pos > self.block - (self.n + 1))[0]:
-            k = self.pos[r]
-            row = self.buf[r]
-            row[: self.block - k] = row[k:]
-            self.gens[r].random(out=row[self.block - k :])
-            self.pos[r] = 0
+        due = np.nonzero(self.pos > self.block - (self.n + 1))[0]
+        if due.size:
+            inner = self.state["state"]
+            for r, k in zip(due.tolist(), (self.pos[due] & ~3).tolist()):
+                row = self.buf[r]
+                row[: self.block - k] = row[k:]
+                inner["key"], inner["counter"][0] = self.keys[r], self.drawn[r]
+                self.gen.bit_generator.state = self.state
+                self.gen.random(out=row[self.block - k :])
+                self.drawn[r] += k // 4
+            self.pos[due] &= 3
         zeta = self.buf[self.rows, self.pos]
         self.pos += 1
         active = np.nonzero(zeta < self.p)[0]
@@ -309,9 +326,9 @@ def evolve_lockstep(
     n_steps:
         Control steps L.
     noise, rngs:
-        Optional dephasing model and one RandomStream per run, opened here.
-        Run r's realization depends on ``rngs[r]`` alone; see
-        :class:`_NoiseWalk` for the draw order.
+        Optional dephasing model and one RandomStream per run, or their
+        (R, 2) keys (:meth:`RandomStream.substream_keys`).  Run r's
+        realization depends on ``rngs[r]`` alone; see :class:`_NoiseWalk`.
     record_states:
         Keep every run's state after every step, shape (R, L, n).
 

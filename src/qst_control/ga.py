@@ -199,8 +199,8 @@ def _evaluate(genes, cache, noise, stream, generation):
     """Fitness of each row; noisy runs get one substream per individual."""
     if noise is None:
         return evolve_population(genes, cache)
-    rngs = [stream.substream(generation, i) for i in range(genes.shape[0])]
-    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1], noise, rngs)
+    keys = stream.substream_keys(generation, count=genes.shape[0])
+    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1], noise, keys)
     return run.probabilities.max(axis=1)
 
 

@@ -303,8 +303,10 @@ def validate_controller(
     ``actions()``.
     """
     grid = [(float(p), float(d)) for p in p_values for d in delta_values]
-    # all up front, so that an invalid noise level or controller fails once,
-    # before any cell runs; the clean run also fixes the trajectory length
+    # all up front, so that a bad run count, noise level or controller fails
+    # once, before any cell runs; the clean run also fixes the trajectory length
+    if not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
+        raise ValueError(f"n_runs must be a positive integer, got {n_runs!r}")
     models = [NoiseModel(p=p, delta=d) for p, d in grid]
     clean = controller.rollout(cache)
     n_steps = len(clean.probabilities)
@@ -312,8 +314,8 @@ def validate_controller(
     def run_cell(c: int, noise: NoiseModel) -> np.ndarray:
         if noise.p == 0.0 or noise.delta == 0.0:
             return np.full(n_runs, clean.max_probability)
-        rngs = [stream.substream(TAG_VALIDATION, c, r) for r in range(n_runs)]
-        run = evolve_lockstep(cache.unitaries, controller.actions(), n_steps, noise, rngs)
+        keys = stream.substream_keys(TAG_VALIDATION, c, count=n_runs)
+        run = evolve_lockstep(cache.unitaries, controller.actions(), n_steps, noise, keys)
         return run.probabilities.max(axis=1)
 
     jobs = {c: (lambda c=c, noise=noise: run_cell(c, noise)) for c, noise in enumerate(models)}
@@ -330,7 +332,7 @@ def validate_controller(
             fid = averaged_fidelity(mean)
         else:
             mean, std = float(runs.mean()), float(runs.std())
-            fid = float(np.mean([averaged_fidelity(v) for v in runs]))
+            fid = float(np.mean(averaged_fidelity(runs)))
         cells.append(
             ValidationCell(
                 p=p,
@@ -501,8 +503,8 @@ def hyperparameter_search(
             noise_delta=noise.delta,
         )
         record = train(config, action_set, spec, seed=sub.substream(1))
-        rngs = [sub.substream(2, r) for r in range(val_runs)]
-        run = evolve_lockstep(cache.unitaries, greedy_policy(record.network), spec.n_steps, noise, rngs)
+        keys = sub.substream_keys(2, count=val_runs)
+        run = evolve_lockstep(cache.unitaries, greedy_policy(record.network), spec.n_steps, noise, keys)
         scores = run.probabilities.max(axis=1)
         return HpoTrial(
             index=i,

@@ -23,8 +23,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 mixing round (finalizer only, no counter increment)."""
+def _splitmix64(x):
+    """One splitmix64 mixing round (finalizer only) of an int or, elementwise, a uint64 array."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -47,10 +47,14 @@ class RandomStream:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "stream_id", int(self.stream_id))
 
+    @property
+    def key(self) -> np.ndarray:
+        """The (2,) uint64 Philox key of this stream."""
+        return np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
         """Fresh numpy Generator positioned at the start of this stream."""
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key))
 
     def substream(self, *indices: int) -> "RandomStream":
         """Child stream for an index tuple, e.g. ``stream.substream(cell, run)``.
@@ -67,6 +71,13 @@ class RandomStream:
                 raise TypeError(f"substream indices must be integers, got {type(idx).__name__}")
             acc = _splitmix64((acc ^ (int(idx) & _MASK64)) & _MASK64)
         return RandomStream(self.seed, acc)
+
+    def substream_keys(self, *prefix: int, count: int) -> np.ndarray:
+        """Row r is ``substream(*prefix, r).key``, for r < count: one vectorised pass."""
+        acc = self.substream(*prefix).stream_id if prefix else self.stream_id & _MASK64
+        keys = np.full((count, 2), self.seed & _MASK64, dtype=np.uint64)
+        keys[:, 1] = _splitmix64(np.uint64(acc) ^ np.arange(count, dtype=np.uint64))
+        return keys
 
 
 def as_stream(seed: "int | RandomStream") -> RandomStream:

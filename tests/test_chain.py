@@ -161,6 +161,22 @@ def test_averaged_fidelity_domain():
     assert averaged_fidelity(-1e-13) == 0.5
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_averaged_fidelity_rejects_non_finite(p):
+    with pytest.raises(ValueError, match="must lie in"):
+        averaged_fidelity(p)
+    with pytest.raises(ValueError, match="must lie in"):
+        averaged_fidelity(np.array([0.5, p]))
+
+
+def test_averaged_fidelity_of_an_array_is_the_scalar_formula_bitwise():
+    # roundoff just outside [0, 1], both ends, and values in between
+    p = np.concatenate([[-1e-13, 0.0, 1.0, 1.0 + 1e-13], np.random.default_rng(3).random(997)])
+    scalar = np.array([averaged_fidelity(v) for v in p])
+    assert averaged_fidelity(p).tobytes() == scalar.tobytes()
+    assert type(averaged_fidelity(np.float64(0.25))) is float
+
+
 @given(p=st.floats(0.0, 1.0))
 def test_averaged_fidelity_monotone_and_bounded(p):
     f = averaged_fidelity(p)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fixed_choice, greedy_choice, rollout_oracle, validation_oracle
-from qst_control import ChainSpec, NoiseModel, RandomStream, build_cache, site_by_site_set
+from qst_control import ChainSpec, NoiseModel, RandomStream, averaged_fidelity, build_cache, site_by_site_set
 from qst_control import harness
 from qst_control.chain import NOISE_BLOCK_STEPS, _NoiseWalk, evolve_lockstep, evolve_sequence
 from qst_control.dqn import greedy_policy, greedy_rollout
@@ -38,6 +40,30 @@ def test_noise_walk_reproduces_sample_noise_gate_bitwise(p, n):
     for _ in range(steps):
         # a gate times 1 + 0j is the gate itself, bit for bit
         states = np.ones((runs, n), dtype=complex)
+        walk.apply(states)
+        for r, gen in enumerate(gens):
+            gate = sample_noise_gate(model, n, gen)
+            expected = np.ones(n, dtype=complex) if gate is None else gate
+            assert states[r].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    stream_id=st.integers(2**63, 2**64 - 1),
+    n=st.sampled_from([2, 4, 5, 6, 9]),  # n + 1 is not a multiple of 4
+    p=st.sampled_from([0.02, 1.0]),
+)
+def test_noise_walk_keys_match_per_run_generators(seeds, stream_id, n, p):
+    # keys at or above 2^63; enough steps that a run refills at least three
+    # times even when it reads one variate a step
+    steps = 3 * NOISE_BLOCK_STEPS * (n + 1) + 5
+    model = NoiseModel(p=p, delta=0.8)
+    streams = [RandomStream(seed, stream_id ^ r) for r, seed in enumerate(seeds)]
+    walk = _NoiseWalk(model, n, np.array([s.key for s in streams]))
+    gens = [s.generator() for s in streams]
+    for _ in range(steps):
+        states = np.ones((len(streams), n), dtype=complex)
         walk.apply(states)
         for r, gen in enumerate(gens):
             gate = sample_noise_gate(model, n, gen)
@@ -139,3 +165,38 @@ def test_lockstep_validates_its_schedule(cache5):
         evolve_lockstep(cache5.unitaries, np.zeros((2, 3), dtype=int), 2)
     with pytest.raises(ValueError, match="rng"):
         evolve_lockstep(cache5.unitaries, np.zeros(3, dtype=int), 3, NoiseModel(0.5, 0.5))
+
+
+@pytest.mark.parametrize("n_runs", [0, -3, 2.5])
+def test_validate_controller_rejects_a_bad_run_count_up_front(cache5, monkeypatch, n_runs):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran before the run count was checked")
+
+    monkeypatch.setattr(harness, "evolve_lockstep", no_cells)
+    seq = np.zeros(cache5.spec.n_steps, dtype=np.int64)
+    with pytest.raises(ValueError, match="n_runs"):
+        validate_controller(FixedSequenceController(seq), cache5, RandomStream(0), (0.5,), (0.5,), n_runs=n_runs)
+
+
+def test_noisy_validation_opens_no_generator_and_any_worker_count_agrees(cache5, monkeypatch):
+    calls = []
+    generator = RandomStream.generator
+
+    def counted(self):
+        calls.append(self)
+        return generator(self)
+
+    net = QNetwork(10, 16, 6, len(cache5), rng=RandomStream(11))
+    controller = GreedyPolicyController(net)
+    monkeypatch.setattr(RandomStream, "generator", counted)
+    reports = [
+        validate_controller(controller, cache5, RandomStream(4), P_VALUES, DELTA_VALUES, n_runs=23, workers=w)
+        for w in (1, 2)
+    ]
+    assert calls == []
+    assert reports[0].per_run.tobytes() == reports[1].per_run.tobytes()
+    # each noisy cell's mean fidelity is the mean of the per-run fidelities
+    for c, cell in enumerate(reports[0].cells):
+        if cell.p > 0.0 and cell.delta > 0.0:
+            scalar = float(np.mean([averaged_fidelity(v) for v in reports[0].per_run[c]]))
+            assert np.float64(cell.mean_fidelity).tobytes() == np.float64(scalar).tobytes()

@@ -61,3 +61,14 @@ def test_numpy_integers_accepted():
     s = RandomStream(np.int64(3), np.uint64(4))
     t = s.substream(np.int32(2))
     assert isinstance(t, RandomStream)
+
+
+@pytest.mark.parametrize("prefix", [(), (3, 7), (-1,), (2**64 + 5, -(2**70)), (2**63, 0, 9)])
+def test_substream_keys_are_the_substream_keys(prefix):
+    stream = RandomStream(-12345, 2**64 - 3)
+    count = 10_001
+    keys = stream.substream_keys(*prefix, count=count)
+    assert keys.shape == (count, 2) and keys.dtype == np.uint64
+    expected = np.array([stream.substream(*prefix, r).key for r in range(count)])
+    assert keys.tobytes() == expected.tobytes()
+    assert int(keys[5, 1]) == stream.substream(*prefix, 5).stream_id
