@@ -279,7 +279,7 @@ class Rollouts:
         return Trajectory(probabilities=self.probabilities[run], dt=dt, states=states)
 
 
-def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, col) -> np.ndarray:
+def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, col, tags=None) -> np.ndarray:
     """One step: U[a] on every row that takes action a.
 
     When every row takes the same action the step is ``states @ U[a].T`` on
@@ -288,20 +288,34 @@ def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, col) -> np.nda
     row order, and every block, one-row blocks included, is multiplied by
     the contiguous ``ut[a] = U[a].T``.  A row's bits then depend on its own
     state and action and on the size of its block, not on the other rows.
-    ``states`` may be overwritten; the stepped states are the return value.
+
+    ``tags`` stack batches that each keep the bits they get stepped alone.
+    A product of two rows or more gives a row the same bits at any row count,
+    on the view or the copy; a one-row product takes another BLAS path.  So
+    the rows of every (tag, action) class of two or more share their action's
+    block, and a one-row class is a block of its own, by ``ut[a]``, or by
+    the view when the row is its tag's whole batch.  ``states`` may be
+    overwritten; the stepped states are the return value.
     """
     if np.ndim(col):
-        order = np.argsort(col, kind="stable")
-        ranked = col[order]
+        key, n_actions = col, len(unitaries)
+        if tags is not None:
+            cls = tags * n_actions + col
+            key = np.where(np.bincount(cls)[cls] == 1, n_actions + np.arange(len(col)), col)
+            whole = np.bincount(tags)[tags] == 1
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
         starts = np.flatnonzero(np.diff(ranked, prepend=-1)).tolist()
         if len(starts) != 1:
             grouped = states[order]
             # states is free now and takes the products in sorted order
-            for lo, hi in zip(starts, starts[1:] + [len(col)]):
-                np.matmul(grouped[lo:hi], ut[ranked[lo]], out=states[lo:hi])
+            for lo, hi, a in zip(starts, starts[1:] + [len(col)], ranked[starts].tolist()):
+                r = a - n_actions  # >= 0: the row of a one-row class
+                u = ut[a] if r < 0 else unitaries[col[r]].T if whole[r] else ut[col[r]]
+                np.matmul(grouped[lo:hi], u, out=states[lo:hi])
             grouped[order] = states
             return grouped
-        col = ranked[0]
+        col = col[0]
     return states @ unitaries[col].T
 
 
@@ -312,6 +326,7 @@ def evolve_lockstep(
     noise: NoiseModel | None = None,
     rngs=None,
     record_states: bool = False,
+    tags=None,
 ) -> Rollouts:
     """Step R runs of the chain together, one control step at a time.
 
@@ -331,6 +346,9 @@ def evolve_lockstep(
         realization depends on ``rngs[r]`` alone; see :class:`_NoiseWalk`.
     record_states:
         Keep every run's state after every step, shape (R, L, n).
+    tags:
+        Optional (R,) nonnegative ints for an (R, L) schedule or a policy:
+        stacked batches, each stepped bit for bit as alone.
 
     The number of runs R is ``len(rngs)`` when given, else the number of
     schedule rows, else 1.  Each step applies one matrix product per
@@ -352,6 +370,9 @@ def evolve_lockstep(
         raise ValueError(
             f"actions must have shape ({n_steps},) or ({n_runs}, {n_steps}), got {actions.shape}"
         )
+    tags = None if tags is None else np.asarray(tags, dtype=np.int64)
+    if tags is not None and (tags.shape != (n_runs,) or np.any(tags < 0)):
+        raise ValueError(f"tags must be {n_runs} nonnegative integers, got {tags}")
     walk = None
     if noise is not None:
         if rngs is None:
@@ -373,7 +394,7 @@ def evolve_lockstep(
             col = actions[..., t]
         else:
             col = taken[:, t] = policy(states)
-        states = _apply_actions(states, unitaries, ut, col)
+        states = _apply_actions(states, unitaries, ut, col, tags)
         if walk is not None:
             walk.apply(states)
         probs[:, t] = np.abs(states[:, -1]) ** 2
@@ -419,18 +440,19 @@ def evolve_sequence(
     return run.trajectory(0, cache.dt)
 
 
-def evolve_population(genes: np.ndarray, cache) -> np.ndarray:
+def evolve_population(genes: np.ndarray, cache, tags=None) -> np.ndarray:
     """Noise-free trajectory maxima of a (B, L) batch of action sequences.
 
     The clean case of :func:`evolve_lockstep`, which updates the rows that
     take one action with a single matrix product; that is what makes
     population-scale fitness evaluation cheap.  ``cache`` is as in
-    :func:`evolve_sequence`.  Returns a (B,) array, zeros when L = 0.
+    :func:`evolve_sequence`, and ``tags`` as in :func:`evolve_lockstep`.
+    Returns a (B,) array, zeros when L = 0.
     """
     genes = np.asarray(genes, dtype=np.int64)
     if genes.ndim != 2:
         raise ValueError(f"genes must be a (B, L) matrix, got shape {genes.shape}")
-    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1])
+    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1], tags=tags)
     return run.probabilities.max(axis=1, initial=0.0)
 
 

@@ -195,13 +195,40 @@ class GaRunRecord:
     final_population: Population = field(repr=False, default=None)
 
 
-def _evaluate(genes, cache, noise, stream, generation):
-    """Fitness of each row; noisy runs get one substream per individual."""
+def _evaluate(batches, cache, noise, streams, generation):
+    """Fitness of each seed's batch, stepped as one stack; noisy rows draw from their seed's stream."""
+    sizes = [len(b) for b in batches]
+    genes = np.concatenate(batches)
+    tags = None if len(batches) == 1 else np.repeat(np.arange(len(batches)), sizes)
     if noise is None:
-        return evolve_population(genes, cache)
-    keys = stream.substream_keys(generation, count=genes.shape[0])
-    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1], noise, keys)
-    return run.probabilities.max(axis=1)
+        fit = evolve_population(genes, cache, tags)
+    else:
+        keys = np.concatenate([st.substream_keys(generation, count=k) for st, k in zip(streams, sizes)])
+        fit = evolve_lockstep(cache.unitaries, genes, genes.shape[1], noise, keys, tags=tags).probabilities.max(axis=1)
+    return np.split(fit, np.cumsum(sizes)[:-1])
+
+
+def _halt_reason(config: GaConfig, best_hist: list, generation: int) -> HaltReason | None:
+    if best_hist[-1] >= config.target_probability:
+        return HaltReason.TARGET_REACHED
+    if generation > config.saturation and best_hist[-1] - best_hist[-1 - config.saturation] <= SATURATION_EPS:
+        return HaltReason.SATURATION
+    return HaltReason.MAX_GENERATIONS if generation >= config.max_generations else None
+
+
+def _offspring(config: GaConfig, genes, fit, mutated_genes: int, gen):
+    """Elite indices and the offspring of the parent pool, drawn from ``gen``."""
+    ranked = select_parents_sss(fit, max(config.parents_mating, config.keep_elitism))
+    pool = genes[ranked[: config.parents_mating]]
+    children = np.empty((config.population_size - config.keep_elitism, genes.shape[1]), dtype=np.int64)
+    for c in range(len(children)):
+        i = int(gen.integers(0, len(pool)))
+        j = int(gen.integers(0, len(pool) - 1))
+        if j >= i:
+            j += 1
+        child = uniform_crossover(pool[i], pool[j], config.crossover_probability, gen)
+        children[c] = swap_mutation(child, config.mutation_probability, mutated_genes, gen)
+    return ranked[: config.keep_elitism], children
 
 
 def run_ga(
@@ -211,7 +238,19 @@ def run_ga(
     noise: NoiseModel | None = None,
     seed: "int | RandomStream" = 0,
 ) -> GaRunRecord:
-    """Run the genetic optimizer until target, saturation, or the cap.
+    """Run the genetic optimizer until target, saturation, or the cap: :func:`run_ga_lockstep` of one seed."""
+    (record,) = run_ga_lockstep(config, action_set, spec, noise, [seed])
+    return record
+
+
+def run_ga_lockstep(
+    config: GaConfig,
+    action_set: ActionSet,
+    spec: ChainSpec,
+    noise: NoiseModel | None = None,
+    seeds=(0,),
+) -> list[GaRunRecord]:
+    """One optimizer run per seed, all seeds stepped a generation at a time.
 
     Generation 1 is the evaluation of the random initial population (so a
     target of 0 halts immediately, in generation 1).  Each later
@@ -224,66 +263,49 @@ def run_ga(
     Halting checks run in priority order target > saturation > cap;
     saturation fires when the best fitness improved by at most 1e-12 over
     the last ``saturation`` generations.
+
+    Each seed (int or RandomStream) keeps its own generator, operators and
+    halting; the offspring of the seeds still running are evaluated as one
+    stack tagged by seed (:func:`evolve_lockstep`), so every record but its
+    wall time (from the shared start) is bit for bit the seed's run alone.
     """
     if action_set.n != spec.n:
         raise ValueError(f"action set is for n={action_set.n} but the chain has n={spec.n}")
     t0 = time.perf_counter()
-    stream = as_stream(seed)
-    gen = stream.generator()
+    streams = [as_stream(seed) for seed in seeds]
+    gens = [st.generator() for st in streams]
     cache = build_cache(action_set, spec)
-    length = spec.n_steps
     mutated_genes = config.mutated_genes if config.mutated_genes is not None else spec.n
 
-    genes = init_population(config, action_set, length, gen).genes
-    fit = _evaluate(genes, cache, noise, stream, generation=1)
+    genes = [init_population(config, action_set, spec.n_steps, gen).genes for gen in gens]
+    fit = _evaluate(genes, cache, noise, streams, generation=1)
+    best_hist = [[float(f.max())] for f in fit]
+    mean_hist = [[float(f.mean())] for f in fit]
+    records: list = [None] * len(streams)
+    live = list(range(len(streams)))
     generation = 1
-    best_hist = [float(fit.max())]
-    mean_hist = [float(fit.mean())]
-
-    n_offspring = config.population_size - config.keep_elitism
     while True:
-        if best_hist[-1] >= config.target_probability:
-            halt = HaltReason.TARGET_REACHED
-            break
-        if (
-            generation > config.saturation
-            and best_hist[-1] - best_hist[-1 - config.saturation] <= SATURATION_EPS
-        ):
-            halt = HaltReason.SATURATION
-            break
-        if generation >= config.max_generations:
-            halt = HaltReason.MAX_GENERATIONS
-            break
-
-        ranked = select_parents_sss(fit, max(config.parents_mating, config.keep_elitism))
-        parent_idx = ranked[: config.parents_mating]
-        elite_idx = ranked[: config.keep_elitism]
-        pool = genes[parent_idx]
-
-        children = np.empty((n_offspring, length), dtype=np.int64)
-        k = len(parent_idx)
-        for c in range(n_offspring):
-            i = int(gen.integers(0, k))
-            j = int(gen.integers(0, k - 1))
-            if j >= i:
-                j += 1
-            child = uniform_crossover(pool[i], pool[j], config.crossover_probability, gen)
-            children[c] = swap_mutation(child, config.mutation_probability, mutated_genes, gen)
-
+        for s in live:
+            halt = _halt_reason(config, best_hist[s], generation)
+            if halt is not None:
+                best = int(np.argmax(fit[s]))
+                records[s] = GaRunRecord(
+                    best_chromosome=Chromosome(genes=genes[s][best].copy(), fitness=float(fit[s][best])),
+                    best_fitness_per_generation=np.array(best_hist[s]),
+                    mean_fitness_per_generation=np.array(mean_hist[s]),
+                    halt_reason=halt,
+                    generations_run=generation,
+                    wall_time=time.perf_counter() - t0,
+                    final_population=Population(genes=genes[s], fitness=fit[s]),
+                )
+        live = [s for s in live if records[s] is None]
+        if not live:
+            return records
+        elites, children = zip(*(_offspring(config, genes[s], fit[s], mutated_genes, gens[s]) for s in live))
         generation += 1
-        child_fit = _evaluate(children, cache, noise, stream, generation)
-        genes = np.concatenate([genes[elite_idx], children], axis=0)
-        fit = np.concatenate([fit[elite_idx], child_fit])
-        best_hist.append(float(fit.max()))
-        mean_hist.append(float(fit.mean()))
-
-    best = int(np.argmax(fit))
-    return GaRunRecord(
-        best_chromosome=Chromosome(genes=genes[best].copy(), fitness=float(fit[best])),
-        best_fitness_per_generation=np.array(best_hist),
-        mean_fitness_per_generation=np.array(mean_hist),
-        halt_reason=halt,
-        generations_run=generation,
-        wall_time=time.perf_counter() - t0,
-        final_population=Population(genes=genes, fitness=fit),
-    )
+        child_fit = _evaluate(children, cache, noise, [streams[s] for s in live], generation)
+        for s, elite, kids, kid_fit in zip(live, elites, children, child_fit):
+            genes[s] = np.concatenate([genes[s][elite], kids], axis=0)
+            fit[s] = np.concatenate([fit[s][elite], kid_fit])
+            best_hist[s].append(float(fit[s].max()))
+            mean_hist[s].append(float(fit[s].mean()))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pauli_block_hamiltonian, propagator_oracle
@@ -377,3 +377,48 @@ def test_row_order_permutes_results_bitwise(n, rows, seed):
     run = evolve_lockstep(cache.unitaries, genes, length, noise, streams)
     moved = evolve_lockstep(cache.unitaries, genes[perm], length, noise, [streams[i] for i in perm])
     assert moved.probabilities.tobytes() == run.probabilities[perm].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, sizes=[0], seed=0)  # an empty stack
+@example(n=4, sizes=[1, 2, 1], seed=1)
+def test_tagged_rows_evolve_as_their_tag_alone(n, sizes, seed):
+    # a stack of tagged batches gives every batch the bits it gets alone,
+    # though a one-row product takes another BLAS path than a block
+    cache = _site_cache(n)
+    gen = np.random.default_rng(seed)
+    length = int(gen.integers(1, 3 * n))
+    batches = [gen.integers(0, len(cache), (k, length)) for k in sizes]
+    for b in batches:
+        # steps where the batch's first row alone takes the last action:
+        # one-row classes inside larger batches, often at the same step
+        # and action as the lone rows of other batches
+        lonely = gen.random(length) < 0.5
+        b[1:, lonely] %= len(cache) - 1
+        b[:1, lonely] = len(cache) - 1
+        # steps where every row of the batch takes one action
+        shared = gen.random(length) < 0.3
+        b[:, shared] = b[:1, shared]
+    genes = np.concatenate(batches)
+    tags = np.repeat(np.arange(len(sizes)), sizes)
+
+    alone = np.concatenate([evolve_population(b, cache) for b in batches])
+    assert evolve_population(genes, cache, tags).tobytes() == alone.tobytes()
+
+    noise = NoiseModel(p=0.5, delta=0.7)
+    keys = [RandomStream(seed, t).substream_keys(9, count=k) for t, k in enumerate(sizes)]
+    run = evolve_lockstep(cache.unitaries, genes, length, noise, np.concatenate(keys), tags=tags)
+    alone = [evolve_lockstep(cache.unitaries, b, length, noise, k).probabilities for b, k in zip(batches, keys)]
+    assert run.probabilities.tobytes() == np.concatenate(alone).tobytes()
+
+
+def test_tags_must_give_one_nonnegative_int_per_row(cache4):
+    genes = np.zeros((3, 4), dtype=np.int64)
+    for bad in ([0, 1], [0, -1, 1], [[0, 0, 1]]):
+        with pytest.raises(ValueError, match="tags"):
+            evolve_population(genes, cache4, bad)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from qst_control.ga import (
     _evaluate,
     init_population,
     run_ga,
+    run_ga_lockstep,
     select_parents_sss,
     swap_mutation,
     uniform_crossover,
@@ -82,7 +85,7 @@ def test_fitness_is_trajectory_max(cache4):
     genes = np.array([[1, 0, 0, 2, 0, 3, 0, 0, 4, 0]])
     from qst_control import evolve_sequence
 
-    fit = _evaluate(genes, cache4, None, RandomStream(0), generation=1)
+    (fit,) = _evaluate([genes], cache4, None, [RandomStream(0)], generation=1)
     np.testing.assert_allclose(fit, [evolve_sequence(genes[0], cache4).max_probability], atol=1e-15)
 
 
@@ -267,3 +270,47 @@ def test_run_ga_record_contents(spec4):
     np.testing.assert_allclose(
         record.final_population.fitness.max(), record.best_chromosome.fitness, atol=1e-15
     )
+
+
+def _fields(record):
+    """Every field of a run record but its wall time, bytes for arrays."""
+    pop = record.final_population
+    return (
+        record.best_chromosome.genes.tobytes(),
+        record.best_chromosome.fitness,
+        record.best_fitness_per_generation.tobytes(),
+        record.mean_fitness_per_generation.tobytes(),
+        record.halt_reason,
+        record.generations_run,
+        pop.genes.tobytes(),
+        pop.fitness.tobytes(),
+    )
+
+
+SMALL = GaConfig(population_size=8, parents_mating=4, keep_elitism=7, saturation=6, max_generations=15)
+
+
+@pytest.mark.parametrize(
+    "config, noise, halts",
+    [
+        # seeds leave the stack one by one: five reach the target, one the cap
+        (
+            dataclasses.replace(TINY, target_probability=0.98, max_generations=40, saturation=40),
+            None,
+            [19, 18, 12, 5, 11, 40],
+        ),
+        (SMALL, None, None),  # one child per generation
+        (dataclasses.replace(SMALL, keep_elitism=8), None, None),  # no children: saturation halts
+        (TINY, NoiseModel(p=0.5, delta=0.3), None),
+    ],
+    ids=["staggered-halts", "one-child", "no-children", "noisy"],
+)
+def test_lockstep_seeds_match_their_runs_alone(spec4, config, noise, halts):
+    action_set = site_by_site_set(spec4.n, spec4.field_strength)
+    seeds = list(range(6))
+    together = run_ga_lockstep(config, action_set, spec4, noise, seeds)
+    assert [_fields(r) for r in together] == [
+        _fields(run_ga(config, action_set, spec4, noise, seed)) for seed in seeds
+    ]
+    if halts is not None:
+        assert [r.generations_run for r in together] == halts

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qst_control import harness
 from qst_control.actions import build_cache, make_action_set
 from qst_control.chain import ChainSpec, averaged_fidelity, evolve_sequence
 from qst_control.dqn import DqnConfig, greedy_rollout
-from qst_control.ga import GaConfig
+from qst_control.ga import GaConfig, run_ga
 from qst_control.harness import (
+    TAG_MULTI_SEED,
     FixedSequenceController,
     GreedyPolicyController,
     HpoRanges,
@@ -131,6 +135,37 @@ def test_scaling_study_uses_its_own_stream_tag():
         and np.array_equal(ms.row(4).best_sequence, sc.row(4).best_sequence)
         and ms.row(4).generations == sc.row(4).generations
     )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_multi_seed_ga_matches_per_seed_runs(workers):
+    # a length's seeds run in lock-step, and each one's record is the one
+    # run_ga gives that seed alone
+    stream = RandomStream(6)
+    summary = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, stream, n_seeds=4, workers=workers)
+    for n in (3, 4):
+        spec = dataclasses.replace(SPEC3, n=n)
+        action_set = make_action_set("site_by_site", n, SPEC3.field_strength)
+        alone = [
+            run_ga(TINY_GA, action_set, spec, seed=stream.substream(TAG_MULTI_SEED, n, s)) for s in range(4)
+        ]
+        row = summary.row(n)
+        assert row.per_seed.tobytes() == np.array([r.best_chromosome.fitness for r in alone]).tobytes()
+        assert row.halt_reasons == [r.halt_reason.value for r in alone]
+        assert row.generations == [r.generations_run for r in alone]
+        best = alone[int(np.argmax(row.per_seed))].best_chromosome.genes
+        assert row.best_sequence.tobytes() == best.tobytes()
+
+
+@pytest.mark.parametrize("study", [multi_seed_ga, scaling_study])
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_seed_studies_reject_a_seed_count_below_one_before_any_run(study, n_seeds, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a GA run started before n_seeds was checked")
+
+    monkeypatch.setattr(harness, "run_ga_lockstep", no_runs)
+    with pytest.raises(ValueError, match="n_seeds"):
+        study([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(0), n_seeds=n_seeds)
 
 
 # ------------------------------------------------------------------- sweep
@@ -335,3 +370,15 @@ def test_hyperparameter_search_deterministic_and_worker_invariant(hpo_setup):
         assert a.score == b.score
         assert a.train_best == b.train_best
     assert results[0].best.index == results[1].best.index
+
+
+@pytest.mark.parametrize("bad", [{"val_runs": 0}, {"n_trials": 0}, {"val_runs": -2}, {"n_trials": -1}])
+def test_hyperparameter_search_rejects_empty_counts_before_training(hpo_setup, bad, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a trial trained before the counts were checked")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    base, ranges = hpo_setup
+    args = {"n_trials": 2, "val_runs": 2, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        hyperparameter_search(base, "site_by_site", SPEC3, RandomStream(15), ranges=ranges, **args)

@@ -129,7 +129,7 @@ def test_noisy_ga_evaluation_matches_the_oracle(cache5):
     genes = np.random.default_rng(7).integers(0, len(cache5), (13, cache5.spec.n_steps))
     noise = NoiseModel(p=0.4, delta=0.6)
     stream = RandomStream(30)
-    fit = _evaluate(genes, cache5, noise, stream, generation=3)
+    (fit,) = _evaluate([genes], cache5, noise, [stream], generation=3)
     for i, row in enumerate(genes):
         gen = stream.substream(3, i).generator()
         _, probs = rollout_oracle(cache5.unitaries, len(row), fixed_choice(row), noise, gen)
