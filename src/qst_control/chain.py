@@ -212,10 +212,11 @@ class _NoiseWalk:
 
     Run r draws from the Philox stream of its key (one RandomStream per run
     or an (R, 2) uint64 key array) in the order ``sample_noise_gate`` uses:
-    one activation variate every step and, when it is below ``p``, n phase
-    variates ``-1 + 2 u``, as ``gen.uniform(-1, 1)`` maps them.  So every
-    realization is bit for bit the one ``sample_noise_gate`` draws from
-    ``RandomStream(...).generator()``.
+    one activation variate every step and, when it is below run r's ``p``,
+    n phase variates ``-1 + 2 u``, as ``gen.uniform(-1, 1)`` maps them.
+    ``noise`` is one NoiseModel for every run or a sequence of one per run.
+    So every realization is bit for bit the one ``sample_noise_gate`` draws
+    from ``RandomStream(...).generator()`` under that run's model.
 
     Each run buffers ``NOISE_BLOCK_STEPS * (n + 1)`` variates.  When its
     unread tail is shorter than one step's worst case (n + 1), the tail
@@ -224,13 +225,18 @@ class _NoiseWalk:
     variates move too, so none is skipped).
     """
 
-    def __init__(self, noise: NoiseModel, n: int, keys) -> None:
+    def __init__(self, noise: NoiseModel | list[NoiseModel], n: int, keys) -> None:
         if not isinstance(keys, np.ndarray):
             for r in keys:
                 if not isinstance(r, RandomStream):
                     raise TypeError(f"a rollout draws its noise from a RandomStream, got {type(r).__name__}")
             keys = np.array([r.key for r in keys], dtype=np.uint64).reshape(-1, 2)
-        self.p, self.delta, self.n = noise.p, noise.delta, n
+        models = [noise] * len(keys) if isinstance(noise, NoiseModel) else list(noise)
+        if len(models) != len(keys):
+            raise ValueError(f"noise must be one NoiseModel or a list of {len(keys)}, one per run, got {len(models)}")
+        self.p = np.array([m.p for m in models])
+        self.phase = 1j * np.array([m.delta for m in models])
+        self.n = n
         self.keys = keys.tolist()
         self.block = NOISE_BLOCK_STEPS * (n + 1)  # a multiple of 4: the first fill takes all
         self.buf = np.empty((len(keys), self.block))
@@ -263,7 +269,7 @@ class _NoiseWalk:
         if active.size:
             xi = -1.0 + 2.0 * self.buf[active[:, None], self.pos[active, None] + self.span]
             self.pos[active] += self.n
-            states[active] = np.exp(1j * self.delta * xi) * states[active]
+            states[active] = np.exp(self.phase[active, None] * xi) * states[active]
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,7 @@ def evolve_lockstep(
     unitaries: np.ndarray,
     actions,
     n_steps: int,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel | list[NoiseModel] | None = None,
     rngs=None,
     record_states: bool = False,
     tags=None,
@@ -341,14 +347,16 @@ def evolve_lockstep(
     n_steps:
         Control steps L.
     noise, rngs:
-        Optional dephasing model and one RandomStream per run, or their
-        (R, 2) keys (:meth:`RandomStream.substream_keys`).  Run r's
-        realization depends on ``rngs[r]`` alone; see :class:`_NoiseWalk`.
+        Optional dephasing model, one for every run or a sequence of one
+        per run, and one RandomStream per run, or their (R, 2) keys
+        (:meth:`RandomStream.substream_keys`).  Run r's realization depends
+        on ``rngs[r]`` and its own model alone; see :class:`_NoiseWalk`.
     record_states:
         Keep every run's state after every step, shape (R, L, n).
     tags:
-        Optional (R,) nonnegative ints for an (R, L) schedule or a policy:
-        stacked batches, each stepped bit for bit as alone.
+        Optional (R,) nonnegative ints: stacked batches, each stepped bit
+        for bit as alone.  Under a shared (L,) schedule only a one-row
+        batch needs its own product; it gets one.
 
     The number of runs R is ``len(rngs)`` when given, else the number of
     schedule rows, else 1.  Each step applies one matrix product per
@@ -373,6 +381,12 @@ def evolve_lockstep(
     tags = None if tags is None else np.asarray(tags, dtype=np.int64)
     if tags is not None and (tags.shape != (n_runs,) or np.any(tags < 0)):
         raise ValueError(f"tags must be {n_runs} nonnegative integers, got {tags}")
+    if tags is not None and policy is None and actions.ndim == 1:
+        if np.any(np.bincount(tags) == 1):
+            # one product on all rows would give a one-row batch multi-row bits
+            actions = np.broadcast_to(actions, (n_runs, n_steps))
+        else:
+            tags = None
     walk = None
     if noise is not None:
         if rngs is None:

@@ -62,7 +62,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="YAML config file")
         p.add_argument("--seed", type=int, default=None, help="root random seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="threads for lengths, cells and trials")
+        p.add_argument("--workers", type=int, default=None, help="threads for lengths, sweep cells and HPO trials")
         p.add_argument(
             "--set",
             action="append",

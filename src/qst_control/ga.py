@@ -273,6 +273,8 @@ def run_ga_lockstep(
         raise ValueError(f"action set is for n={action_set.n} but the chain has n={spec.n}")
     t0 = time.perf_counter()
     streams = [as_stream(seed) for seed in seeds]
+    if not streams:
+        raise ValueError("seeds must name at least one seed, got none")
     gens = [st.generator() for st in streams]
     cache = build_cache(action_set, spec)
     mutated_genes = config.mutated_genes if config.mutated_genes is not None else spec.n

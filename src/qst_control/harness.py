@@ -7,10 +7,12 @@ fixed tag scheme (one tag per study kind, then the job's own indices), so
 * adding a chain length or a grid cell never perturbs the others,
 * reruns with the same seed reproduce byte-identical artifacts.
 
-``workers`` threads run independent jobs: chain lengths, sweep cells,
-validation cells, HPO trials.  The seeds of one length run in lock-step
-in one thread (:func:`ga.run_ga_lockstep`): two GA seeds at n=16 took
-1.46 s on two threads and 1.13 s in lock-step (median design times).
+``workers`` threads run independent jobs: chain lengths, sweep cells and
+HPO trials.  The seeds of one length run in lock-step in one thread
+(:func:`ga.run_ga_lockstep`): two GA seeds at n=16 took 1.46 s on two
+threads and 1.13 s in lock-step (median design times).  Validation stacks
+the runs of several grid cells into one lock-step batch and ignores
+``workers``: two such batches on two threads lost to one call.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ TAG_SCALING = 5
 TAG_HPO = 6
 
 DEFAULT_NOISE_LEVELS = (0.0, 0.125, 0.25, 0.5)
+# rows of whole validation cells per lock-step call.  All cells at once raise
+# the peak memory (every row holds a block of noise variates), and a greedy
+# policy's q_batch costs about 1.5x more per row past ~256 rows of the
+# default 120-wide network, as its per-step arrays start to fault in pages
+SCHEDULE_ROWS, POLICY_ROWS = 512, 256
 
 
 def run_jobs(jobs: dict, workers: int = 1) -> dict:
@@ -293,13 +300,17 @@ def validate_controller(
 
     Cell statistics are over ``n_runs`` independent noise realizations;
     run r of cell c draws from substream (tag, c, r), so every cell and
-    every run is reproducible in isolation.  The runs of a cell are
-    stepped in lock-step, all R states at once.  Cells with p = 0 or
-    delta = 0 are noiseless: every run is the clean rollout, computed
-    once.  The reported std is the population spread (ddof 0) of the
-    per-run trajectory maxima.  ``controller`` gives the clean run through
-    ``rollout(cache)`` and what :func:`evolve_lockstep` steps through
-    ``actions()``.
+    every run is reproducible in isolation.  The runs of up to
+    ``SCHEDULE_ROWS`` (a policy: ``POLICY_ROWS``) rows of whole noisy
+    cells are stepped in lock-step as one batch, each run under its cell's
+    noise level and tagged by cell, so every run is bit for bit the one
+    its cell gives stepped alone.  Cells with p = 0 or delta = 0 are
+    noiseless: every run is the clean rollout, computed once.  The
+    reported std is the population spread (ddof 0) of the per-run
+    trajectory maxima.
+    ``controller`` gives the clean run through ``rollout(cache)`` and what
+    :func:`evolve_lockstep` steps through ``actions()``.  ``workers`` is
+    accepted and ignored: the batches run in the calling thread.
     """
     grid = [(float(p), float(d)) for p in p_values for d in delta_values]
     # all up front, so that a bad run count, noise level or controller fails
@@ -309,17 +320,16 @@ def validate_controller(
     models = [NoiseModel(p=p, delta=d) for p, d in grid]
     clean = controller.rollout(cache)
     n_steps = len(clean.probabilities)
-
-    def run_cell(c: int, noise: NoiseModel) -> np.ndarray:
-        if noise.p == 0.0 or noise.delta == 0.0:
-            return np.full(n_runs, clean.max_probability)
-        keys = stream.substream_keys(TAG_VALIDATION, c, count=n_runs)
-        run = evolve_lockstep(cache.unitaries, controller.actions(), n_steps, noise, keys)
-        return run.probabilities.max(axis=1)
-
-    jobs = {c: (lambda c=c, noise=noise: run_cell(c, noise)) for c, noise in enumerate(models)}
-    results = run_jobs(jobs, workers)
-    per_run = np.stack([results[c] for c in range(len(grid))])
+    per_run = np.full((len(grid), n_runs), clean.max_probability)
+    noisy = [c for c, m in enumerate(models) if m.p > 0.0 and m.delta > 0.0]
+    actions = controller.actions()
+    per_call = max(1, (POLICY_ROWS if callable(actions) else SCHEDULE_ROWS) // n_runs)
+    for chunk in (noisy[i : i + per_call] for i in range(0, len(noisy), per_call)):
+        keys = np.concatenate([stream.substream_keys(TAG_VALIDATION, c, count=n_runs) for c in chunk])
+        noise = [models[c] for c in chunk for _ in range(n_runs)]
+        tags = None if len(chunk) == 1 else np.repeat(np.arange(len(chunk)), n_runs)
+        run = evolve_lockstep(cache.unitaries, actions, n_steps, noise, keys, tags=tags)
+        per_run[chunk] = run.probabilities.max(axis=1).reshape(len(chunk), n_runs)
     cells = []
     for c, (p, d) in enumerate(grid):
         runs = per_run[c]

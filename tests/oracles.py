@@ -6,8 +6,9 @@ optimum oracle is exhaustive enumeration (scored with the package's
 ``evolve_sequence``), and the rollout oracle is the plain one-run-at-a-time
 step loop.  The rollout oracle draws its gates through the package's
 ``sample_noise_gate``, whose draw order ``tests/test_noise.py`` pins: it is
-the order the lock-step kernel must reproduce.  Deliberately slow and
-simple.
+the order the lock-step kernel must reproduce.  The per-cell validation
+oracle steps each grid cell on its own, whose bits the stacked validation
+must keep.  Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -150,4 +151,25 @@ def validation_oracle(choose, cache, stream, p_values, delta_values, n_runs: int
                 cache.unitaries, cache.spec.n_steps, choose, NoiseModel(p, d), gen
             )
             out[c, r] = probs.max()
+    return out
+
+
+def per_cell_validation(controller, cache, stream, p_values, delta_values, n_runs: int) -> np.ndarray:
+    """(cells, runs) trajectory maxima, one ``evolve_lockstep`` call per noisy
+    cell with that cell's model and keys; noiseless cells repeat the clean
+    maximum."""
+    from qst_control.chain import evolve_lockstep
+    from qst_control.harness import TAG_VALIDATION
+    from qst_control.noise import NoiseModel
+
+    clean = controller.rollout(cache)
+    grid = [(p, d) for p in p_values for d in delta_values]
+    out = np.full((len(grid), n_runs), clean.max_probability)
+    for c, (p, d) in enumerate(grid):
+        if p > 0.0 and d > 0.0:
+            keys = stream.substream_keys(TAG_VALIDATION, c, count=n_runs)
+            run = evolve_lockstep(
+                cache.unitaries, controller.actions(), len(clean.probabilities), NoiseModel(p, d), keys
+            )
+            out[c] = run.probabilities.max(axis=1)
     return out

@@ -416,6 +416,13 @@ def test_tagged_rows_evolve_as_their_tag_alone(n, sizes, seed):
     alone = [evolve_lockstep(cache.unitaries, b, length, noise, k).probabilities for b, k in zip(batches, keys)]
     assert run.probabilities.tobytes() == np.concatenate(alone).tobytes()
 
+    # one (L,) schedule shared by every row: a one-row batch still takes the
+    # one-row product it gets alone, not a share of the stack's product
+    seq = gen.integers(0, len(cache), length)
+    run = evolve_lockstep(cache.unitaries, seq, length, noise, np.concatenate(keys), tags=tags)
+    alone = [evolve_lockstep(cache.unitaries, seq, length, noise, k).probabilities for k in keys]
+    assert run.probabilities.tobytes() == np.concatenate(alone).tobytes()
+
 
 def test_tags_must_give_one_nonnegative_int_per_row(cache4):
     genes = np.zeros((3, 4), dtype=np.int64)

@@ -259,6 +259,17 @@ def test_run_ga_rejects_mismatched_action_set(spec4):
         run_ga(TINY, site_by_site_set(5), spec4, seed=0)
 
 
+def test_run_ga_lockstep_rejects_an_empty_seed_list_before_any_work(spec4, monkeypatch):
+    import qst_control.ga as ga
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the propagators were built before the seeds were checked")
+
+    monkeypatch.setattr(ga, "build_cache", no_work)
+    with pytest.raises(ValueError, match="seeds"):
+        run_ga_lockstep(TINY, site_by_site_set(spec4.n, spec4.field_strength), spec4, seeds=[])
+
+
 def test_run_ga_record_contents(spec4):
     action_set = site_by_site_set(spec4.n, spec4.field_strength)
     record = run_ga(TINY, action_set, spec4, seed=3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fixed_choice, greedy_choice, rollout_oracle, validation_oracle
+from oracles import fixed_choice, greedy_choice, per_cell_validation, rollout_oracle, validation_oracle
 from qst_control import ChainSpec, NoiseModel, RandomStream, averaged_fidelity, build_cache, site_by_site_set
 from qst_control import harness
 from qst_control.chain import NOISE_BLOCK_STEPS, _NoiseWalk, evolve_lockstep, evolve_sequence
@@ -71,6 +71,30 @@ def test_noise_walk_keys_match_per_run_generators(seeds, stream_id, n, p):
             assert states[r].tobytes() == expected.tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    levels=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.02, 0.3, 1.0]), st.floats(0.0, 3.0)), min_size=2, max_size=5
+    ),
+    n=st.sampled_from([2, 4, 5, 6, 9]),  # n + 1 is not a multiple of 4
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_noise_walk_with_a_model_per_run_is_bitwise_single_model_walks(levels, n, seed):
+    # enough steps that every run refills at least three times
+    steps = 3 * NOISE_BLOCK_STEPS * (n + 1) + 5
+    models = [NoiseModel(p=p, delta=d) for p, d in levels]
+    keys = RandomStream(seed).substream_keys(7, count=len(models))
+    stacked = _NoiseWalk(models, n, keys)
+    alone = [_NoiseWalk(m, n, keys[r : r + 1]) for r, m in enumerate(models)]
+    for _ in range(steps):
+        states = np.ones((len(models), n), dtype=complex)
+        stacked.apply(states)
+        for r, walk in enumerate(alone):
+            row = np.ones((1, n), dtype=complex)
+            walk.apply(row)
+            assert states[r].tobytes() == row[0].tobytes()
+
+
 def test_single_run_is_bitwise_the_scalar_loop(cache5):
     seq = np.random.default_rng(5).integers(0, len(cache5), cache5.spec.n_steps)
     _, clean = rollout_oracle(cache5.unitaries, len(seq), fixed_choice(seq))
@@ -109,6 +133,33 @@ def test_validate_controller_matches_the_oracle(cache5, kind):
     for c in report.cells:
         if c.p == 0.0 or c.delta == 0.0:
             assert c.mean_max_probability == clean and c.std_max_probability == 0.0
+
+
+@pytest.mark.parametrize("rows", [None, 6], ids=["one-call", "several-calls"])
+@pytest.mark.parametrize("n_runs", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["fixed", "greedy"])
+def test_stacked_validation_is_bitwise_the_per_cell_loop(cache5, monkeypatch, kind, n_runs, rows):
+    # 4 noisy cells, a p = 1 cell among them; at 6 rows a call the cells
+    # stack in twos or threes, so a call also holds more than one cell
+    if rows is not None:
+        monkeypatch.setattr(harness, "SCHEDULE_ROWS", rows)
+        monkeypatch.setattr(harness, "POLICY_ROWS", rows)
+    if kind == "fixed":
+        seq = np.random.default_rng(13).integers(0, len(cache5), cache5.spec.n_steps)
+        controller = FixedSequenceController(seq)
+    else:
+        controller = GreedyPolicyController(QNetwork(10, 16, 6, len(cache5), rng=RandomStream(1)))
+    stream = RandomStream(14)
+    expected = per_cell_validation(controller, cache5, stream, P_VALUES, DELTA_VALUES, n_runs)
+    for workers in (1, 2):
+        report = validate_controller(controller, cache5, stream, P_VALUES, DELTA_VALUES, n_runs, workers)
+        assert report.per_run.tobytes() == expected.tobytes()
+    if kind == "greedy" and n_runs > 1:
+        # the runs of a cell part ways: one-row action classes occur (cell 4
+        # is p = 0.3, delta = 0.4)
+        keys = stream.substream_keys(harness.TAG_VALIDATION, 4, count=n_runs)
+        run = evolve_lockstep(cache5.unitaries, controller.actions(), cache5.spec.n_steps, NoiseModel(0.3, 0.4), keys)
+        assert np.any(run.actions.min(axis=0) != run.actions.max(axis=0))
 
 
 def test_greedy_batch_takes_the_oracle_actions(cache5):
@@ -165,6 +216,9 @@ def test_lockstep_validates_its_schedule(cache5):
         evolve_lockstep(cache5.unitaries, np.zeros((2, 3), dtype=int), 2)
     with pytest.raises(ValueError, match="rng"):
         evolve_lockstep(cache5.unitaries, np.zeros(3, dtype=int), 3, NoiseModel(0.5, 0.5))
+    with pytest.raises(ValueError, match="one per run"):
+        keys = RandomStream(0).substream_keys(count=3)
+        evolve_lockstep(cache5.unitaries, np.zeros(3, dtype=int), 3, [NoiseModel(0.5, 0.5)] * 2, keys)
 
 
 @pytest.mark.parametrize("n_runs", [0, -3, 2.5])
