@@ -247,8 +247,9 @@ class _NoiseWalk:
         self.gen = np.random.Generator(np.random.Philox(0))
         self.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self.rows = np.arange(len(keys))
-        self.span = np.arange(n)
+        self.flat = self.buf.reshape(-1)
+        self.starts = np.arange(len(keys)) * self.block
+        self.span = np.arange(1, n + 1)  # a step's phase variates follow its activation variate
 
     def apply(self, states: np.ndarray) -> None:
         """Draw one step's gates and dephase the active rows of ``states`` in place."""
@@ -263,11 +264,12 @@ class _NoiseWalk:
                 self.gen.random(out=row[self.block - k :])
                 self.drawn[r] += k // 4
             self.pos[due] &= 3
-        zeta = self.buf[self.rows, self.pos]
+        at = self.starts + self.pos
+        zeta = self.flat[at]
         self.pos += 1
         active = np.nonzero(zeta < self.p)[0]
         if active.size:
-            xi = -1.0 + 2.0 * self.buf[active[:, None], self.pos[active, None] + self.span]
+            xi = -1.0 + 2.0 * self.flat[at[active, None] + self.span]
             self.pos[active] += self.n
             states[active] = np.exp(self.phase[active, None] * xi) * states[active]
 
