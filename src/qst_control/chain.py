@@ -73,12 +73,12 @@ class ChainSpec:
             raise TypeError(f"n must be an integer, got {type(self.n).__name__}")
         if self.n < 2:
             raise ValueError(f"chain needs at least 2 sites, got n={self.n}")
-        if not self.coupling > 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.field_strength < 0:
-            raise ValueError(f"field_strength must be nonnegative, got {self.field_strength}")
+        if not (self.coupling > 0 and math.isfinite(self.coupling)):
+            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (self.field_strength >= 0 and math.isfinite(self.field_strength)):
+            raise ValueError(f"field_strength must be finite and nonnegative, got {self.field_strength}")
 
     @property
     def n_steps(self) -> int:

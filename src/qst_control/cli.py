@@ -35,6 +35,8 @@ from .harness import (
 from .reporting import environment_versions, write_csv, write_json, write_manifest
 from .rng import RandomStream
 
+_WORKERS_HELP = "threads for lengths, sweep cells and HPO trials; histogram's lock-step chunk; ignored by validate"
+
 # substream tags for the controller-design runs inside `validate`
 _TAG_DESIGN_GA = 100
 _TAG_DESIGN_DQN = 200
@@ -62,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="YAML config file")
         p.add_argument("--seed", type=int, default=None, help="root random seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="threads for lengths, sweep cells and HPO trials")
+        p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
         p.add_argument(
             "--set",
             action="append",
@@ -201,7 +203,6 @@ def _run_validate(config: ExperimentConfig) -> int:
         p_values=config.validate.p_values,
         delta_values=config.validate.delta_values,
         n_runs=config.validate.runs,
-        workers=config.workers,
     )
     rows = [
         (c.p, c.delta, c.mean_max_probability, c.std_max_probability, c.mean_fidelity, c.n_runs)
@@ -223,15 +224,13 @@ def _run_validate(config: ExperimentConfig) -> int:
 
 def _run_sweep(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
-    spec = config.chain
     result = sweep_h_dt(
-        spec.n,
-        config.sweep.h_values,
-        config.sweep.dt_values,
+        config.chain.n,
         config.ga,
         RandomStream(config.seed),
+        config.sweep,
         set_kind=config.action_set_kind,
-        coupling=spec.coupling,
+        coupling=config.chain.coupling,
         workers=config.workers,
     )
     rows = [(c.h, c.dt, c.max_probability, c.halt_reason, c.generations) for c in result.cells]
@@ -248,15 +247,12 @@ def _run_sweep(config: ExperimentConfig) -> int:
 
 def _run_histogram(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
-    spec, _ = _chain_objects(config)
     hist = action_histogram(
         config.ga,
         config.action_set_kind,
-        spec,
+        config.chain,
         RandomStream(config.seed),
-        n_sequences=config.histogram.n_sequences,
-        threshold=config.histogram.threshold,
-        max_runs=config.histogram.max_runs,
+        config.histogram,
         workers=config.workers,
     )
     rows = [(a, int(hist.counts[a]), hist.frequencies[a]) for a in range(hist.n_actions)]
@@ -293,12 +289,11 @@ def _run_histogram(config: ExperimentConfig) -> int:
 def _run_scaling(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     summary = scaling_study(
-        config.scaling.lengths,
         config.ga,
         config.action_set_kind,
         config.chain,
         RandomStream(config.seed),
-        n_seeds=config.scaling.n_seeds,
+        config.scaling,
         workers=config.workers,
     )
     rows = [
@@ -353,16 +348,12 @@ def _run_baseline(config: ExperimentConfig) -> int:
 
 def _run_hpo(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
-    spec, _ = _chain_objects(config)
     result = hyperparameter_search(
         config.dqn,
         config.action_set_kind,
-        spec,
+        config.chain,
         RandomStream(config.seed),
-        n_trials=config.hpo.trials,
-        ranges=config.hpo.ranges,
-        train_noise=(config.hpo.noise_p, config.hpo.noise_delta),
-        val_runs=config.hpo.val_runs,
+        config.hpo,
         workers=config.workers,
     )
     rows = [

@@ -10,17 +10,20 @@ into an identical configuration.
 Each section is read off the dataclass it builds, the type of the
 same-named :class:`ExperimentConfig` field: its field names, annotations
 and defaults are the section's keys, value shapes and defaults, and a
-field without a default is required.  ``DqnConfig.reward_table`` is the
-``dqn.reward`` subsection; :class:`HpoRanges` spreads into ``hpo``.  Only
-the top-level keys and each key's bounds (``_BOUNDS``) are written here.
+field without a default is required.  The study sections' classes live in
+:mod:`qst_control.harness`, whose studies take them whole.
+``DqnConfig.reward_table`` is the ``dqn.reward`` subsection; ``HpoRanges``
+spreads into ``hpo``.  Only the top-level keys and each key's bounds
+(``_BOUNDS``) are written here.
 A dataclass that rejects a combination is reported under its section.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -28,7 +31,7 @@ import yaml
 from .chain import ChainSpec
 from .dqn import DqnConfig
 from .ga import GaConfig
-from .harness import DEFAULT_NOISE_LEVELS, HpoRanges
+from .harness import HistogramSettings, HpoSettings, ScalingSettings, SweepSettings, ValidateSettings
 
 MODES = ("ga", "dqn-train", "validate", "sweep", "histogram", "scaling", "baseline", "hpo", "describe")
 ACTION_SET_KINDS = ("site_by_site", "zhang16")
@@ -43,42 +46,6 @@ class ConfigError(ValueError):
 
 
 # ------------------------------------------------------------- typed form
-
-
-@dataclass
-class ValidateSettings:
-    controller: str = "ga"
-    p_values: tuple[float, ...] = DEFAULT_NOISE_LEVELS
-    delta_values: tuple[float, ...] = DEFAULT_NOISE_LEVELS
-    runs: int = 100
-
-
-@dataclass
-class SweepSettings:
-    h_values: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
-    dt_values: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2)
-
-
-@dataclass
-class HistogramSettings:
-    n_sequences: int = 1000
-    threshold: float = 0.99
-    max_runs: int = 200
-
-
-@dataclass
-class ScalingSettings:
-    lengths: tuple[int, ...] = (16, 32, 64, 128)
-    n_seeds: int = 3
-
-
-@dataclass
-class HpoSettings:
-    trials: int = 32
-    val_runs: int = 100
-    ranges: HpoRanges = field(default_factory=HpoRanges)
-    noise_p: float = 0.25
-    noise_delta: float = 0.25
 
 
 @dataclass
@@ -160,7 +127,8 @@ _BOUNDS = {
     "validate.controller": ("ga", "dqn"),
     "sweep.dt_values": _POSITIVE,
     "hpo.learning_rate": (1e-12, None),
-    **dict.fromkeys(("seed", "ga.keep_elitism", "ga.mutated_genes", "baseline.n_steps"), (0, None)),
+    "seed": (0, 2**64 - 1),  # one 64-bit word of the Philox key
+    **dict.fromkeys(("ga.keep_elitism", "ga.mutated_genes", "baseline.n_steps"), (0, None)),
     **dict.fromkeys(("chain.n", "ga.population_size", "ga.parents_mating", "scaling.lengths"), (2, None)),
     **dict.fromkeys(
         (
@@ -217,6 +185,8 @@ def _check(hint, v, path: str, bound):
         if not (_is_int(v) or isinstance(v, float)):
             raise ConfigError(path, f"expected a number, got {v!r}")
         v = float(v)
+        if not math.isfinite(v):
+            raise ConfigError(path, f"must be finite, got {v}")
     if isinstance(v, str):
         if bound is not None and v not in bound:
             raise ConfigError(path, f"must be one of {list(bound)}, got {v!r}")

@@ -10,7 +10,8 @@ fixed tag scheme (one tag per study kind, then the job's own indices), so
 ``workers`` threads run independent jobs: chain lengths, sweep cells and
 HPO trials.  The seeds of one length run in lock-step in one thread
 (:func:`ga.run_ga_lockstep`): two GA seeds at n=16 took 1.46 s on two
-threads and 1.13 s in lock-step (median design times).  Validation stacks
+threads and 1.13 s in lock-step (median design times).  The histogram
+runs its seeds in lock-step chunks of ``workers`` seeds.  Validation stacks
 the runs of several grid cells into one lock-step batch and ignores
 ``workers``: two such batches on two threads lost to one call.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -95,6 +96,12 @@ class GreedyPolicyController:
 
 
 # ---------------------------------------------------------- multi-seed GA
+
+
+@dataclass(frozen=True)
+class ScalingSettings:
+    lengths: tuple[int, ...] = (16, 32, 64, 128)
+    n_seeds: int = 3
 
 
 @dataclass
@@ -183,21 +190,26 @@ def multi_seed_ga(
 
 
 def scaling_study(
-    lengths: Sequence[int],
     config: GaConfig,
     set_kind: str,
     base_spec: ChainSpec,
     stream: RandomStream,
-    n_seeds: int = 3,
+    settings: ScalingSettings = ScalingSettings(),
     workers: int = 1,
 ) -> MultiSeedSummary:
     """Best transfer versus chain length at fixed dt (few seeds per point)."""
     return _ga_seed_matrix(
-        TAG_SCALING, lengths, config, set_kind, base_spec, stream, n_seeds, workers
+        TAG_SCALING, settings.lengths, config, set_kind, base_spec, stream, settings.n_seeds, workers
     )
 
 
 # ------------------------------------------------------------ (h, dt) sweep
+
+
+@dataclass(frozen=True)
+class SweepSettings:
+    h_values: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
+    dt_values: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2)
 
 
 @dataclass
@@ -222,10 +234,9 @@ class SweepResult:
 
 def sweep_h_dt(
     n: int,
-    h_values: Sequence[float],
-    dt_values: Sequence[float],
     config: GaConfig,
     stream: RandomStream,
+    settings: SweepSettings = SweepSettings(),
     set_kind: str = "site_by_site",
     coupling: float = 1.0,
     workers: int = 1,
@@ -236,8 +247,8 @@ def sweep_h_dt(
     physical duration, not in gene count.
     """
     jobs = {}
-    for i, h in enumerate(h_values):
-        for j, dt in enumerate(dt_values):
+    for i, h in enumerate(settings.h_values):
+        for j, dt in enumerate(settings.dt_values):
             spec = ChainSpec(n=n, coupling=coupling, dt=dt, field_strength=h)
             action_set = make_action_set(set_kind, n, h)
             jobs[(i, j)] = (
@@ -254,13 +265,21 @@ def sweep_h_dt(
             halt_reason=results[(i, j)].halt_reason.value,
             generations=results[(i, j)].generations_run,
         )
-        for i, h in enumerate(h_values)
-        for j, dt in enumerate(dt_values)
+        for i, h in enumerate(settings.h_values)
+        for j, dt in enumerate(settings.dt_values)
     ]
     return SweepResult(cells=cells)
 
 
 # ---------------------------------------------------------- noise validation
+
+
+@dataclass(frozen=True)
+class ValidateSettings:
+    controller: str = "ga"
+    p_values: tuple[float, ...] = DEFAULT_NOISE_LEVELS
+    delta_values: tuple[float, ...] = DEFAULT_NOISE_LEVELS
+    runs: int = 100
 
 
 @dataclass
@@ -291,9 +310,9 @@ def validate_controller(
     controller,
     cache: PropagatorCache,
     stream: RandomStream,
-    p_values: Sequence[float] = DEFAULT_NOISE_LEVELS,
-    delta_values: Sequence[float] = DEFAULT_NOISE_LEVELS,
-    n_runs: int = 100,
+    p_values: Sequence[float] = ValidateSettings.p_values,
+    delta_values: Sequence[float] = ValidateSettings.delta_values,
+    n_runs: int = ValidateSettings.runs,
     workers: int = 1,
 ) -> ValidationReport:
     """Monte Carlo robustness grid for one controller.
@@ -363,6 +382,13 @@ def validate_controller(
 # ------------------------------------------------------------- histograms
 
 
+@dataclass(frozen=True)
+class HistogramSettings:
+    n_sequences: int = 1000
+    threshold: float = 0.99
+    max_runs: int = 200
+
+
 @dataclass
 class ActionHistogram:
     """Which actions successful sequences actually use.
@@ -391,9 +417,7 @@ def action_histogram(
     set_kind: str,
     spec: ChainSpec,
     stream: RandomStream,
-    n_sequences: int = 1000,
-    threshold: float = 0.99,
-    max_runs: int = 200,
+    settings: HistogramSettings = HistogramSettings(),
     workers: int = 1,
 ) -> ActionHistogram:
     """Harvest successful sequences from repeated optimizer runs.
@@ -411,31 +435,31 @@ def action_histogram(
     seen: set[bytes] = set()
     runs_used = 0
     chunk = max(1, workers)
-    next_seed = 0
-    while len(seen) < n_sequences and next_seed < max_runs:
-        seeds = [stream.substream(TAG_HISTOGRAM, s) for s in range(next_seed, min(next_seed + chunk, max_runs))]
+    for first in range(0, settings.max_runs, chunk):
+        if len(seen) >= settings.n_sequences:
+            break
+        seeds = [stream.substream(TAG_HISTOGRAM, s) for s in range(first, min(first + chunk, settings.max_runs))]
         for record in run_ga_lockstep(config, action_set, spec, seeds=seeds):
-            if len(seen) >= n_sequences:
+            if len(seen) >= settings.n_sequences:
                 break
             runs_used += 1
             pop = record.final_population
-            hits = np.nonzero(pop.fitness >= threshold)[0]
+            hits = np.nonzero(pop.fitness >= settings.threshold)[0]
             for i in hits:
                 key = pop.genes[i].tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
                 counts += np.bincount(pop.genes[i], minlength=len(action_set))
-                if len(seen) >= n_sequences:
+                if len(seen) >= settings.n_sequences:
                     break
-        next_seed += chunk
     return ActionHistogram(
         counts=counts,
         n_actions=len(action_set),
         n_sequences=len(seen),
         n_runs_used=runs_used,
-        threshold=threshold,
-        complete=len(seen) >= n_sequences,
+        threshold=settings.threshold,
+        complete=len(seen) >= settings.n_sequences,
     )
 
 
@@ -450,6 +474,15 @@ class HpoRanges:
     gamma: tuple[float, float] = (0.95, 1.0)
     learning_rate: tuple[float, float] = (1e-5, 1e-2)
     hidden1: tuple[int, int] = (512, 4096)
+
+
+@dataclass(frozen=True)
+class HpoSettings:
+    trials: int = 32
+    val_runs: int = 100
+    ranges: HpoRanges = field(default_factory=HpoRanges)
+    noise_p: float = 0.25
+    noise_delta: float = 0.25
 
 
 @dataclass
@@ -474,24 +507,23 @@ def hyperparameter_search(
     set_kind: str,
     spec: ChainSpec,
     stream: RandomStream,
-    n_trials: int = 32,
-    ranges: HpoRanges = HpoRanges(),
-    train_noise: tuple = (0.25, 0.25),
-    val_runs: int = 100,
+    settings: HpoSettings = HpoSettings(),
     workers: int = 1,
 ) -> HpoResult:
     """Uniform random search over (gamma, learning rate, hidden width).
 
-    Every trial trains under the dephasing level given by ``train_noise``
-    and is scored by the mean trajectory maximum of ``val_runs`` greedy
-    rollouts under that same noise.  The second hidden width follows the
-    first at the fixed 1:3 ratio.  Ties go to the lower trial index.
+    ``settings.trials`` trials each train under the dephasing level
+    (``noise_p``, ``noise_delta``) and are scored by the mean trajectory
+    maximum of ``val_runs`` greedy rollouts under that same noise.  The
+    second hidden width follows the first at the fixed 1:3 ratio.  Ties go
+    to the lower trial index.
     """
-    if n_trials < 1 or val_runs < 1:
-        raise ValueError(f"n_trials and val_runs must be positive, got {n_trials} and {val_runs}")
+    if settings.trials < 1 or settings.val_runs < 1:
+        raise ValueError(f"trials and val_runs must be positive, got {settings.trials} and {settings.val_runs}")
     action_set = make_action_set(set_kind, spec.n, spec.field_strength)
     cache = build_cache(action_set, spec)
-    noise = NoiseModel(p=train_noise[0], delta=train_noise[1])
+    noise = NoiseModel(p=settings.noise_p, delta=settings.noise_delta)
+    ranges = settings.ranges
 
     def run_trial(i: int) -> HpoTrial:
         sub = stream.substream(TAG_HPO, i)
@@ -509,7 +541,7 @@ def hyperparameter_search(
             noise_delta=noise.delta,
         )
         record = train(config, action_set, spec, seed=sub.substream(1))
-        keys = sub.substream_keys(2, count=val_runs)
+        keys = sub.substream_keys(2, count=settings.val_runs)
         run = evolve_lockstep(cache.unitaries, greedy_policy(record.network), spec.n_steps, noise, keys)
         scores = run.probabilities.max(axis=1)
         return HpoTrial(
@@ -521,9 +553,9 @@ def hyperparameter_search(
             train_best=record.best_probability,
         )
 
-    jobs = {i: (lambda i=i: run_trial(i)) for i in range(n_trials)}
+    jobs = {i: (lambda i=i: run_trial(i)) for i in range(settings.trials)}
     results = run_jobs(jobs, workers)
-    trials = [results[i] for i in range(n_trials)]
+    trials = [results[i] for i in range(settings.trials)]
     best = max(trials, key=lambda t: (t.score, -t.index))
     best_config = dataclasses.replace(
         base_config,

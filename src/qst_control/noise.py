@@ -24,8 +24,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"activation probability must lie in [0, 1], got {self.p}")
-        if self.delta < 0.0:
-            raise ValueError(f"phase scale delta must be nonnegative, got {self.delta}")
+        if not (self.delta >= 0.0 and np.isfinite(self.delta)):
+            raise ValueError(f"phase scale delta must be finite and nonnegative, got {self.delta}")
 
 
 def sample_noise_gate(model: NoiseModel, n: int, gen: np.random.Generator) -> np.ndarray | None:

@@ -157,19 +157,25 @@ class QNetwork:
     def load(cls, path) -> "QNetwork":
         """Read a network written by :meth:`save`.
 
-        Raises ValueError when a layer's shape disagrees with the stored
-        sizes, and RuntimeError when a parameter is not finite.
+        Raises ValueError when the sizes are not the four widths that
+        :meth:`__init__` builds, or a layer is missing, misshapen or not
+        real floating point; RuntimeError when a parameter is not finite.
         """
         with np.load(path) as data:
             sizes = tuple(int(s) for s in data["sizes"])
+            if len(sizes) != 4:
+                raise ValueError(f"{path}: sizes {sizes} must list 4 layer widths")
+            missing = [f"{k}{i}" for i in range(3) for k in "wb" if f"{k}{i}" not in data.files]
+            if missing:
+                raise ValueError(f"{path}: missing {', '.join(missing)}")
             net = object.__new__(cls)
             net.sizes = sizes
-            net.weights = [data[f"w{i}"] for i in range(len(sizes) - 1)]
-            net.biases = [data[f"b{i}"] for i in range(len(sizes) - 1)]
+            net.weights = [data[f"w{i}"] for i in range(3)]
+            net.biases = [data[f"b{i}"] for i in range(3)]
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             expected = ((f"w{i}", net.weights[i], (fan_out, fan_in)), (f"b{i}", net.biases[i], (fan_out,)))
             for name, arr, shape in expected:
-                if arr.shape != shape:
-                    raise ValueError(f"{path}: {name} has shape {arr.shape}, sizes {sizes} need {shape}")
+                if arr.dtype.kind != "f" or arr.shape != shape:
+                    raise ValueError(f"{path}: {name} is {arr.dtype} {arr.shape}, sizes {sizes} need float {shape}")
         net.assert_finite()
         return net

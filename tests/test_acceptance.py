@@ -35,6 +35,7 @@ from qst_control.dqn import DqnConfig, Experience, ReplayMemory, train
 from qst_control.ga import GaConfig, run_ga, swap_mutation, uniform_crossover
 from qst_control.harness import (
     FixedSequenceController,
+    ScalingSettings,
     multi_seed_ga,
     scaling_study,
     validate_controller,
@@ -321,7 +322,7 @@ def test_criterion_11_reproducibility(tmp_path):
 def test_criterion_12_scaling_smoke():
     config = dataclasses.replace(GA512, target_probability=0.92)
     summary = scaling_study(
-        [64], config, "site_by_site", _spec(64), RandomStream(0), n_seeds=3
+        config, "site_by_site", _spec(64), RandomStream(0), ScalingSettings(lengths=(64,), n_seeds=3)
     )
     row = summary.row(64)
     assert len(row.per_seed) == 3

@@ -41,6 +41,10 @@ def test_spec_validation():
         ChainSpec(n=4, dt=-0.1)
     with pytest.raises(ValueError):
         ChainSpec(n=4, field_strength=-1.0)
+    for field in ("coupling", "dt", "field_strength"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ChainSpec(n=4, **{field: value})
 
 
 def test_n_steps_reference_values():

@@ -199,6 +199,14 @@ ERROR_PATHS = [
     # impossible noise levels and step lengths fail here, not mid-run
     (["validate.p_values=[1.5]"], "validate.p_values[0]", "validate.p_values[0]: must be at most 1.0"),
     (["sweep.dt_values=[0.15, -0.1]"], "sweep.dt_values[1]", "sweep.dt_values[1]: must be positive"),
+    # NaN passes every bound, and seeds wrap at 64 bits
+    (
+        ["validate.delta_values=[0.5, .nan]"],
+        "validate.delta_values[1]",
+        "validate.delta_values[1]: must be finite, got nan",
+    ),
+    (["chain.n=8", "chain.dt=.inf"], "chain.dt", "chain.dt: must be finite, got inf"),
+    (["seed=18446744073709551616"], "seed", "seed: must be at most 18446744073709551615"),
 ]
 
 

@@ -12,7 +12,11 @@ from qst_control.harness import (
     TAG_MULTI_SEED,
     FixedSequenceController,
     GreedyPolicyController,
+    HistogramSettings,
     HpoRanges,
+    HpoSettings,
+    ScalingSettings,
+    SweepSettings,
     action_histogram,
     hyperparameter_search,
     multi_seed_ga,
@@ -21,6 +25,7 @@ from qst_control.harness import (
     sweep_h_dt,
     validate_controller,
 )
+from qst_control.noise import NoiseModel
 from qst_control.qnet import QNetwork
 from qst_control.rng import RandomStream
 
@@ -126,7 +131,7 @@ def test_multi_seed_ga_n_seeds_defaults_to_config():
 def test_scaling_study_uses_its_own_stream_tag():
     shared = RandomStream(4)
     ms = multi_seed_ga([4], TINY_GA, "site_by_site", SPEC3, shared, n_seeds=3)
-    sc = scaling_study([4], TINY_GA, "site_by_site", SPEC3, shared, n_seeds=3)
+    sc = scaling_study(TINY_GA, "site_by_site", SPEC3, shared, ScalingSettings(lengths=(4,), n_seeds=3))
     assert sc.row(4).per_seed.shape == (3,)
     # different tags mean different runs; identical outputs across every
     # field at once would need a full stream collision
@@ -157,7 +162,17 @@ def test_multi_seed_ga_matches_per_seed_runs(workers):
         assert row.best_sequence.tobytes() == best.tobytes()
 
 
-@pytest.mark.parametrize("study", [multi_seed_ga, scaling_study])
+SEED_STUDIES = {
+    "multi_seed_ga": lambda n_seeds: multi_seed_ga(
+        [3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(0), n_seeds=n_seeds
+    ),
+    "scaling_study": lambda n_seeds: scaling_study(
+        TINY_GA, "site_by_site", SPEC3, RandomStream(0), ScalingSettings(lengths=(3, 4), n_seeds=n_seeds)
+    ),
+}
+
+
+@pytest.mark.parametrize("study", SEED_STUDIES.values(), ids=SEED_STUDIES.keys())
 @pytest.mark.parametrize("n_seeds", [0, -1])
 def test_seed_studies_reject_a_seed_count_below_one_before_any_run(study, n_seeds, monkeypatch):
     def no_runs(*args, **kwargs):
@@ -165,7 +180,7 @@ def test_seed_studies_reject_a_seed_count_below_one_before_any_run(study, n_seed
 
     monkeypatch.setattr(harness, "run_ga_lockstep", no_runs)
     with pytest.raises(ValueError, match="n_seeds"):
-        study([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(0), n_seeds=n_seeds)
+        study(n_seeds)
 
 
 # ------------------------------------------------------------------- sweep
@@ -173,7 +188,7 @@ def test_seed_studies_reject_a_seed_count_below_one_before_any_run(study, n_seed
 
 def test_sweep_h_dt_grid():
     result = sweep_h_dt(
-        3, [25.0, 50.0], [0.5, 0.75], TINY_GA, RandomStream(5), coupling=1.0
+        3, TINY_GA, RandomStream(5), SweepSettings(h_values=(25.0, 50.0), dt_values=(0.5, 0.75)), coupling=1.0
     )
     assert len(result.cells) == 4
     assert [(c.h, c.dt) for c in result.cells] == [
@@ -191,7 +206,9 @@ def test_sweep_h_dt_grid():
 
 def test_sweep_deterministic_and_worker_invariant():
     runs = [
-        sweep_h_dt(3, [25.0, 50.0], [0.5, 0.75], TINY_GA, RandomStream(6), workers=w)
+        sweep_h_dt(
+            3, TINY_GA, RandomStream(6), SweepSettings(h_values=(25.0, 50.0), dt_values=(0.5, 0.75)), workers=w
+        )
         for w in (1, 4, 1)
     ]
     probs = [[c.max_probability for c in r.cells] for r in runs]
@@ -272,9 +289,7 @@ def test_action_histogram_harvests_to_quota():
         "site_by_site",
         SPEC3,
         RandomStream(10),
-        n_sequences=8,
-        threshold=0.0,
-        max_runs=6,
+        HistogramSettings(n_sequences=8, threshold=0.0, max_runs=6),
     )
     assert hist.complete
     assert hist.n_sequences == 8
@@ -286,9 +301,9 @@ def test_action_histogram_harvests_to_quota():
 
 
 def test_action_histogram_worker_invariant():
-    kwargs = dict(n_sequences=8, threshold=0.0, max_runs=6)
-    a = action_histogram(TINY_GA, "site_by_site", SPEC3, RandomStream(11), workers=1, **kwargs)
-    b = action_histogram(TINY_GA, "site_by_site", SPEC3, RandomStream(11), workers=3, **kwargs)
+    settings = HistogramSettings(n_sequences=8, threshold=0.0, max_runs=6)
+    a = action_histogram(TINY_GA, "site_by_site", SPEC3, RandomStream(11), settings, workers=1)
+    b = action_histogram(TINY_GA, "site_by_site", SPEC3, RandomStream(11), settings, workers=3)
     assert np.array_equal(a.counts, b.counts)
     assert a.n_runs_used == b.n_runs_used
     assert a.n_sequences == b.n_sequences
@@ -301,9 +316,11 @@ def test_action_histogram_reports_incomplete_harvest():
         "site_by_site",
         SPEC3,
         RandomStream(12),
-        n_sequences=5,
-        threshold=1.000001,  # unreachable: fitness is a probability
-        max_runs=2,
+        HistogramSettings(
+            n_sequences=5,
+            threshold=1.000001,  # unreachable: fitness is a probability
+            max_runs=2,
+        ),
     )
     assert not hist.complete
     assert hist.n_sequences == 0
@@ -335,7 +352,7 @@ def hpo_setup():
 def test_hyperparameter_search_samples_within_ranges(hpo_setup):
     base, ranges = hpo_setup
     result = hyperparameter_search(
-        base, "site_by_site", SPEC3, RandomStream(13), n_trials=3, ranges=ranges, val_runs=3
+        base, "site_by_site", SPEC3, RandomStream(13), HpoSettings(trials=3, ranges=ranges, val_runs=3)
     )
     assert [t.index for t in result.trials] == [0, 1, 2]
     for t in result.trials:
@@ -358,9 +375,7 @@ def test_hyperparameter_search_deterministic_and_worker_invariant(hpo_setup):
             "site_by_site",
             SPEC3,
             RandomStream(14),
-            n_trials=3,
-            ranges=ranges,
-            val_runs=2,
+            HpoSettings(trials=3, ranges=ranges, val_runs=2),
             workers=w,
         )
         for w in (1, 3)
@@ -372,13 +387,34 @@ def test_hyperparameter_search_deterministic_and_worker_invariant(hpo_setup):
     assert results[0].best.index == results[1].best.index
 
 
-@pytest.mark.parametrize("bad", [{"val_runs": 0}, {"n_trials": 0}, {"val_runs": -2}, {"n_trials": -1}])
+@pytest.mark.parametrize("bad", [{"val_runs": 0}, {"trials": 0}, {"val_runs": -2}, {"trials": -1}])
 def test_hyperparameter_search_rejects_empty_counts_before_training(hpo_setup, bad, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a trial trained before the counts were checked")
 
     monkeypatch.setattr(harness, "train", no_training)
     base, ranges = hpo_setup
-    args = {"n_trials": 2, "val_runs": 2, **bad}
+    settings = HpoSettings(**{"trials": 2, "val_runs": 2, "ranges": ranges, **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
-        hyperparameter_search(base, "site_by_site", SPEC3, RandomStream(15), ranges=ranges, **args)
+        hyperparameter_search(base, "site_by_site", SPEC3, RandomStream(15), settings)
+
+
+def test_hyperparameter_search_trains_and_scores_under_its_noise(hpo_setup, monkeypatch):
+    base, ranges = hpo_setup
+    trained, scored = [], []
+
+    def spy_train(config, *args, **kwargs):
+        trained.append((config.noise_p, config.noise_delta))
+        return real_train(config, *args, **kwargs)
+
+    def spy_lockstep(unitaries, actions, n_steps, noise, *args, **kwargs):
+        scored.append(noise)
+        return real_lockstep(unitaries, actions, n_steps, noise, *args, **kwargs)
+
+    real_train, real_lockstep = harness.train, harness.evolve_lockstep
+    monkeypatch.setattr(harness, "train", spy_train)
+    monkeypatch.setattr(harness, "evolve_lockstep", spy_lockstep)
+    settings = HpoSettings(trials=2, val_runs=2, ranges=ranges, noise_p=0.5, noise_delta=0.75)
+    hyperparameter_search(base, "site_by_site", SPEC3, RandomStream(16), settings)
+    assert trained == [(0.5, 0.75)] * 2
+    assert scored == [NoiseModel(p=0.5, delta=0.75)] * 2

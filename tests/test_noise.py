@@ -11,6 +11,9 @@ def test_model_validation():
         NoiseModel(p=1.5, delta=0.1)
     with pytest.raises(ValueError):
         NoiseModel(p=0.5, delta=-0.1)
+    for delta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(p=0.5, delta=delta)
     NoiseModel(p=0.0, delta=0.0)
     NoiseModel(p=1.0, delta=10.0)
 

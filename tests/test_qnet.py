@@ -161,6 +161,18 @@ def test_load_rejects_a_layer_that_disagrees_with_sizes(tmp_path):
     np.savez(path, **payload)
     with pytest.raises(ValueError, match="b2"):
         QNetwork.load(path)
+    payload["b2"] = net.biases[2]
+    # a complex layer, a missing layer, and sizes that name no layer at all
+    cases = {
+        r"w0 is complex128 \(7, 5\)": {**payload, "w0": net.weights[0].astype(complex)},
+        "missing w1": {k: v for k, v in payload.items() if k != "w1"},
+        r"sizes \(8,\) must list 4": {"sizes": np.array([8])},
+    }
+    for message, bad in cases.items():
+        np.savez(path, **bad)
+        with pytest.raises(ValueError, match=message) as info:
+            QNetwork.load(path)
+        assert str(info.value).startswith(str(path))
 
 
 def test_load_rejects_a_non_finite_weight(tmp_path):
