@@ -114,15 +114,15 @@ def zhang16_set(n: int, h: float = 100.0) -> ActionSet:
     return ActionSet(kind="zhang16", n=n, h=h, actions=tuple(actions))
 
 
-_SET_BUILDERS = {"site_by_site": site_by_site_set, "zhang16": zhang16_set}
+SET_BUILDERS = {"site_by_site": site_by_site_set, "zhang16": zhang16_set}
 
 
 def make_action_set(kind: str, n: int, h: float = 100.0) -> ActionSet:
     """Build an action set by family name ('site_by_site' or 'zhang16')."""
     try:
-        builder = _SET_BUILDERS[kind]
+        builder = SET_BUILDERS[kind]
     except KeyError:
-        raise ValueError(f"unknown action set kind {kind!r}; choose from {sorted(_SET_BUILDERS)}") from None
+        raise ValueError(f"unknown action set kind {kind!r}; choose from {sorted(SET_BUILDERS)}") from None
     return builder(n, h)
 
 

@@ -30,10 +30,11 @@ The figure of merit is the transmission probability ``P = |<n-1|psi>|^2``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
+from .bounds import NONNEGATIVE, POSITIVE, Checked, Range, bounded
 from .rng import RandomStream
 # chain no longer calls sample_noise_gate (_NoiseWalk reproduces its draws);
 # the name stays here because the benchmark's tracer (bench/tracer.py) and
@@ -46,7 +47,7 @@ NOISE_BLOCK_STEPS = 16
 
 
 @dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Checked):
     """Static description of one chain instance.
 
     Parameters
@@ -63,22 +64,15 @@ class ChainSpec:
         (h >> J) effectively freeze the sites they act on.
     """
 
-    n: int
-    coupling: float = 1.0
-    dt: float = 0.15
-    field_strength: float = 100.0
+    n: int = bounded(MISSING, Range(2))
+    coupling: float = bounded(1.0, POSITIVE)
+    dt: float = bounded(0.15, POSITIVE)
+    field_strength: float = bounded(100.0, NONNEGATIVE)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise TypeError(f"n must be an integer, got {type(self.n).__name__}")
-        if self.n < 2:
-            raise ValueError(f"chain needs at least 2 sites, got n={self.n}")
-        if not (self.coupling > 0 and math.isfinite(self.coupling)):
-            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not (self.field_strength >= 0 and math.isfinite(self.field_strength)):
-            raise ValueError(f"field_strength must be finite and nonnegative, got {self.field_strength}")
+        super().__post_init__()
 
     @property
     def n_steps(self) -> int:

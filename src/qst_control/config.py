@@ -13,9 +13,11 @@ and defaults are the section's keys, value shapes and defaults, and a
 field without a default is required.  The study sections' classes live in
 :mod:`qst_control.harness`, whose studies take them whole.
 ``DqnConfig.reward_table`` is the ``dqn.reward`` subsection; ``HpoRanges``
-spreads into ``hpo``.  Only the top-level keys and each key's bounds
-(``_BOUNDS``) are written here.
-A dataclass that rejects a combination is reported under its section.
+spreads into ``hpo``.  A key's bound is the one declared on its field
+(:mod:`qst_control.bounds`), which the checked dataclasses also enforce
+when built, so a value out of range is reported under its dotted path.
+Only the top-level keys are written here.  A dataclass that rejects a
+combination of values is reported under its section.
 """
 
 from __future__ import annotations
@@ -28,13 +30,15 @@ from pathlib import Path
 
 import yaml
 
+from .actions import SET_BUILDERS, make_action_set
+from .bounds import COUNT, Range, bound_of, bounded, check
 from .chain import ChainSpec
 from .dqn import DqnConfig
 from .ga import GaConfig
 from .harness import HistogramSettings, HpoSettings, ScalingSettings, SweepSettings, ValidateSettings
 
 MODES = ("ga", "dqn-train", "validate", "sweep", "histogram", "scaling", "baseline", "hpo", "describe")
-ACTION_SET_KINDS = ("site_by_site", "zhang16")
+ACTION_SET_KINDS = tuple(SET_BUILDERS)
 
 
 class ConfigError(ValueError):
@@ -50,7 +54,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class BaselineSettings:
-    n_steps: int | None = None
+    n_steps: int | None = bounded(None, Range(0))
 
 
 @dataclass
@@ -82,7 +86,7 @@ _SUBSECTIONS = {"reward_table": "reward"}
 
 
 def _schema(cls) -> dict:
-    """Config key -> (annotation, default) for the section ``cls`` builds."""
+    """Config key -> (annotation, default, bound) for the section ``cls`` builds."""
     hints = typing.get_type_hints(cls)
     out = {}
     for f in dataclasses.fields(cls):
@@ -90,7 +94,7 @@ def _schema(cls) -> dict:
         if dataclasses.is_dataclass(hint) and f.name not in _SUBSECTIONS:
             out.update(_schema(hint))
         else:
-            out[_SUBSECTIONS.get(f.name, f.name)] = (hint, f.default)
+            out[_SUBSECTIONS.get(f.name, f.name)] = (hint, f.default, bound_of(f))
     return out
 
 
@@ -102,56 +106,16 @@ _SECTIONS = {
 
 # top-level keys; a None default leaves the key out of the resolved form
 _TOP = {
-    "mode": (str, None),
-    "seed": (int, 0),
-    "output_dir": (str, "artifacts"),
-    "workers": (int, 1),
-    "action_set": (str, "site_by_site"),
-    **{name: (cls, dataclasses.MISSING) for name, cls in _SECTIONS.items()},
+    "mode": (str, None, MODES),
+    "seed": (int, 0, Range(0, 2**64 - 1)),  # one 64-bit word of the Philox key
+    "output_dir": (str, "artifacts", None),
+    "workers": (int, 1, COUNT),
+    "action_set": (str, "site_by_site", ACTION_SET_KINDS),
+    **{name: (cls, dataclasses.MISSING, None) for name, cls in _SECTIONS.items()},
 }
 
 # what a missing required key stands for, in its error message
 _REQUIRED = {"chain.n": "chain length"}
-
-
-# dotted key -> bounds: a (lowest, highest) range with None for no upper
-# limit, _POSITIVE, or a tuple of allowed strings; a list or pair bounds
-# each of its entries
-_POSITIVE = "positive"
-_COUNT = (1, None)
-_UNIT = (0.0, 1.0)
-_NONNEGATIVE = (0.0, None)
-_BOUNDS = {
-    "mode": MODES,
-    "action_set": ACTION_SET_KINDS,
-    "validate.controller": ("ga", "dqn"),
-    "sweep.dt_values": _POSITIVE,
-    "hpo.learning_rate": (1e-12, None),
-    "seed": (0, 2**64 - 1),  # one 64-bit word of the Philox key
-    **dict.fromkeys(("ga.keep_elitism", "ga.mutated_genes", "baseline.n_steps"), (0, None)),
-    **dict.fromkeys(("chain.n", "ga.population_size", "ga.parents_mating", "scaling.lengths"), (2, None)),
-    **dict.fromkeys(
-        (
-            "workers", "ga.max_generations", "ga.saturation", "ga.n_seeds", "dqn.hidden1", "dqn.hidden2",
-            "dqn.minibatch", "dqn.replay_capacity", "dqn.learning_period", "dqn.target_sync_period",
-            "dqn.episodes", "validate.runs", "histogram.n_sequences", "histogram.max_runs",
-            "scaling.n_seeds", "hpo.trials", "hpo.val_runs", "hpo.hidden1",
-        ),
-        _COUNT,
-    ),
-    **dict.fromkeys(
-        (
-            "ga.crossover_probability", "ga.mutation_probability", "ga.target_probability",
-            "dqn.epsilon_start", "dqn.epsilon_floor", "dqn.fidelity_threshold", "dqn.noise_p",
-            "dqn.reward.zeta", "dqn.reward.high", "validate.p_values", "histogram.threshold", "hpo.noise_p",
-        ),
-        _UNIT,
-    ),
-    **dict.fromkeys(
-        ("dqn.epsilon_decay", "dqn.noise_delta", "validate.delta_values", "sweep.h_values", "hpo.noise_delta"),
-        _NONNEGATIVE,
-    ),
-}
 
 _LIST_OF = {int: "integers", float: "numbers"}
 _FIXED = {2: "a [low, high] pair", 3: "three reward scales"}
@@ -161,19 +125,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check(hint, v, path: str, bound):
+def _check(hint, v, path: str):
     """Check ``v`` against the annotation ``hint``; tuples come back as lists."""
     args = typing.get_args(hint)
     if type(None) in args:
-        return None if v is None else _check(args[0], v, path, bound)
+        return None if v is None else _check(args[0], v, path)
     if typing.get_origin(hint) is tuple:
         if args[-1] is Ellipsis:
             if not isinstance(v, (list, tuple)) or len(v) == 0:
                 raise ConfigError(path, f"expected a non-empty list of {_LIST_OF[args[0]]}, got {v!r}")
-            return [_check(args[0], x, f"{path}[{i}]", bound) for i, x in enumerate(v)]
+            return [_check(args[0], x, f"{path}[{i}]") for i, x in enumerate(v)]
         if not isinstance(v, (list, tuple)) or len(v) != len(args):
             raise ConfigError(path, f"expected {_FIXED[len(args)]}, got {v!r}")
-        out = [_check(a, x, f"{path}[{i}]", bound) for i, (a, x) in enumerate(zip(args, v))]
+        out = [_check(a, x, f"{path}[{i}]") for i, (a, x) in enumerate(zip(args, v))]
         if len(out) == 2 and out[0] > out[1]:
             raise ConfigError(path, f"low bound exceeds high bound: {v!r}")
         return out
@@ -184,21 +148,10 @@ def _check(hint, v, path: str, bound):
     if hint is float:
         if not (_is_int(v) or isinstance(v, float)):
             raise ConfigError(path, f"expected a number, got {v!r}")
-        v = float(v)
-        if not math.isfinite(v):
-            raise ConfigError(path, f"must be finite, got {v}")
-    if isinstance(v, str):
-        if bound is not None and v not in bound:
-            raise ConfigError(path, f"must be one of {list(bound)}, got {v!r}")
-    elif bound == _POSITIVE:
-        if not v > 0:
-            raise ConfigError(path, f"must be positive, got {v}")
-    elif bound is not None:
-        lo, hi = bound
-        if v < lo:
-            raise ConfigError(path, f"must be at least {lo}, got {v}")
-        if hi is not None and v > hi:
-            raise ConfigError(path, f"must be at most {hi}, got {v}")
+        try:
+            v = float(v)
+        except OverflowError:  # an integer past the largest float
+            v = math.inf if v > 0 else -math.inf
     return v
 
 
@@ -213,11 +166,12 @@ def _resolve_section(path: str, data, schema: dict, missing: list) -> dict:
         sub = f"{path}.{key}" if path else str(key)
         if key not in schema:
             raise ConfigError(sub, "unknown key")
-        hint, default = schema[key]
+        hint, default, bound = schema[key]
         if dataclasses.is_dataclass(hint):
             out[key] = _resolve_section(sub, data.get(key), _schema(hint), missing)
         elif key in data:
-            out[key] = _check(hint, data[key], sub, _BOUNDS.get(sub))
+            out[key] = _check(hint, data[key], sub)
+            check(out[key], bound, sub, ConfigError)
         elif default is dataclasses.MISSING:
             missing.append(sub)
         else:
@@ -360,8 +314,6 @@ def describe(config: ExperimentConfig) -> str:
     so a described config can be saved and rerun verbatim.
     """
     chain = config.chain
-    from .actions import make_action_set
-
     n_actions = len(make_action_set(config.action_set_kind, chain.n, chain.field_strength))
     table = config.dqn.reward_table
     mutated = config.ga.mutated_genes if config.ga.mutated_genes is not None else chain.n

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ActionSet, PropagatorCache, build_cache
+from .bounds import COUNT, NONNEGATIVE, POSITIVE, POSITIVE_UNIT, UNIT, Checked, bounded
 from .chain import ChainSpec, Trajectory, evolve_lockstep
 from .noise import NoiseModel, sample_noise_gate
 from .qnet import QNetwork
@@ -29,7 +30,7 @@ from .rng import RandomStream, as_stream
 
 
 @dataclass(frozen=True)
-class RewardTable:
+class RewardTable(Checked):
     """Piecewise-linear transmission reward, r = scale(p) * p.
 
     Below ``zeta`` the step earns nothing, in the middle band the scale is
@@ -37,12 +38,13 @@ class RewardTable:
     near-perfect transfers dominate the return.
     """
 
-    zeta: float = 0.05
-    high: float = 0.9
+    zeta: float = bounded(0.05, UNIT)
+    high: float = bounded(0.9, UNIT)
     scales: tuple[float, float, float] = (0.0, 10.0, 2500.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.zeta <= self.high <= 1.0:
+        super().__post_init__()
+        if self.zeta > self.high:
             raise ValueError(f"need 0 <= zeta <= high <= 1, got zeta={self.zeta}, high={self.high}")
         if len(self.scales) != 3:
             raise ValueError(f"scales must have three entries, got {self.scales}")
@@ -118,26 +120,9 @@ class ReplayMemory:
             terminals=self._terminals[idx],
         )
 
-    def contents(self) -> list[Experience]:
-        """Stored transitions, oldest first (test/inspection helper)."""
-        if self._size < self.capacity:
-            order = range(self._size)
-        else:
-            order = [(self._pos + i) % self.capacity for i in range(self.capacity)]
-        return [
-            Experience(
-                state=self._states[i].copy(),
-                action=int(self._actions[i]),
-                reward=float(self._rewards[i]),
-                next_state=self._next_states[i].copy(),
-                terminal=bool(self._terminals[i]),
-            )
-            for i in order
-        ]
-
 
 @dataclass(frozen=True)
-class DqnConfig:
+class DqnConfig(Checked):
     """Hyperparameters of the Q-learning run.
 
     ``hidden2=None`` resolves to round(hidden1 / 3), the ratio shared by
@@ -146,53 +131,34 @@ class DqnConfig:
     inside the episodes themselves.
     """
 
-    gamma: float = 0.95
-    learning_rate: float = 0.01
-    hidden1: int = 120
-    hidden2: int | None = None
-    minibatch: int = 32
-    replay_capacity: int = 40000
-    learning_period: int = 5
-    target_sync_period: int = 200
-    episodes: int = 50000
-    epsilon_start: float = 1.0
-    epsilon_floor: float = 0.01
-    epsilon_decay: float = 1e-4
+    gamma: float = bounded(0.95, POSITIVE_UNIT)
+    learning_rate: float = bounded(0.01, POSITIVE)
+    hidden1: int = bounded(120, COUNT)
+    hidden2: int | None = bounded(None, COUNT)
+    minibatch: int = bounded(32, COUNT)
+    replay_capacity: int = bounded(40000, COUNT)
+    learning_period: int = bounded(5, COUNT)
+    target_sync_period: int = bounded(200, COUNT)
+    episodes: int = bounded(50000, COUNT)
+    epsilon_start: float = bounded(1.0, UNIT)
+    epsilon_floor: float = bounded(0.01, UNIT)
+    epsilon_decay: float = bounded(1e-4, NONNEGATIVE)
     reward_table: RewardTable = field(default_factory=RewardTable)
-    fidelity_threshold: float = 0.0
-    noise_p: float = 0.0
-    noise_delta: float = 0.0
+    fidelity_threshold: float = bounded(0.0, UNIT)
+    noise_p: float = bounded(0.0, UNIT)
+    noise_delta: float = bounded(0.0, NONNEGATIVE)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.hidden1 < 1 or (self.hidden2 is not None and self.hidden2 < 1):
-            raise ValueError(f"hidden sizes must be positive, got {self.hidden1}, {self.hidden2}")
-        if self.minibatch < 1:
-            raise ValueError(f"minibatch must be positive, got {self.minibatch}")
+        super().__post_init__()
         if self.replay_capacity < self.minibatch:
             raise ValueError(
                 f"replay_capacity must be at least the minibatch size, got {self.replay_capacity}"
             )
-        if self.learning_period < 1 or self.target_sync_period < 1:
-            raise ValueError("learning_period and target_sync_period must be positive")
-        if self.episodes < 1:
-            raise ValueError(f"episodes must be positive, got {self.episodes}")
-        if not 0.0 <= self.epsilon_floor <= self.epsilon_start <= 1.0:
+        if self.epsilon_floor > self.epsilon_start:
             raise ValueError(
                 f"need 0 <= epsilon_floor <= epsilon_start <= 1, got "
                 f"{self.epsilon_floor}, {self.epsilon_start}"
             )
-        if self.epsilon_decay < 0:
-            raise ValueError(f"epsilon_decay must be nonnegative, got {self.epsilon_decay}")
-        if not 0.0 <= self.fidelity_threshold <= 1.0:
-            raise ValueError(f"fidelity_threshold must lie in [0, 1], got {self.fidelity_threshold}")
-        if not 0.0 <= self.noise_p <= 1.0:
-            raise ValueError(f"noise_p must lie in [0, 1], got {self.noise_p}")
-        if self.noise_delta < 0:
-            raise ValueError(f"noise_delta must be nonnegative, got {self.noise_delta}")
 
     @property
     def resolved_hidden2(self) -> int:

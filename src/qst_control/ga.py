@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .actions import ActionSet, build_cache
+from .bounds import COUNT, UNIT, Checked, Range, bounded
 from .chain import ChainSpec, evolve_lockstep, evolve_population
 from .noise import NoiseModel
 from .rng import RandomStream, as_stream
@@ -37,7 +38,7 @@ class HaltReason(str, Enum):
 
 
 @dataclass(frozen=True)
-class GaConfig:
+class GaConfig(Checked):
     """Hyperparameters of the genetic optimizer.
 
     ``mutated_genes`` controls how aggressive a mutation event is: a
@@ -48,42 +49,23 @@ class GaConfig:
     and stalls convergence on long chains.
     """
 
-    population_size: int = 4096
-    max_generations: int = 1000
-    saturation: int = 30
-    parents_mating: int = 409
-    keep_elitism: int = 409
-    crossover_probability: float = 0.8
-    mutation_probability: float = 0.99
-    mutated_genes: int | None = None
-    target_probability: float = 0.99
-    n_seeds: int = 30
+    population_size: int = bounded(4096, Range(2))
+    max_generations: int = bounded(1000, COUNT)
+    saturation: int = bounded(30, COUNT)
+    parents_mating: int = bounded(409, Range(2))
+    keep_elitism: int = bounded(409, Range(0))
+    crossover_probability: float = bounded(0.8, UNIT)
+    mutation_probability: float = bounded(0.99, UNIT)
+    mutated_genes: int | None = bounded(None, Range(0))
+    target_probability: float = bounded(0.99, UNIT)
+    n_seeds: int = bounded(30, COUNT)
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ValueError(f"population_size must be at least 2, got {self.population_size}")
-        if not 2 <= self.parents_mating <= self.population_size:
-            raise ValueError(
-                f"parents_mating must lie in [2, population_size], got {self.parents_mating}"
-            )
-        if not 0 <= self.keep_elitism <= self.population_size:
-            raise ValueError(
-                f"keep_elitism must lie in [0, population_size], got {self.keep_elitism}"
-            )
-        if self.max_generations < 1:
-            raise ValueError(f"max_generations must be positive, got {self.max_generations}")
-        if self.saturation < 1:
-            raise ValueError(f"saturation must be positive, got {self.saturation}")
-        if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ValueError(f"crossover_probability must lie in [0, 1], got {self.crossover_probability}")
-        if not 0.0 <= self.mutation_probability <= 1.0:
-            raise ValueError(f"mutation_probability must lie in [0, 1], got {self.mutation_probability}")
-        if self.mutated_genes is not None and self.mutated_genes < 0:
-            raise ValueError(f"mutated_genes must be nonnegative, got {self.mutated_genes}")
-        if not 0.0 <= self.target_probability <= 1.0:
-            raise ValueError(f"target_probability must lie in [0, 1], got {self.target_probability}")
-        if self.n_seeds < 1:
-            raise ValueError(f"n_seeds must be positive, got {self.n_seeds}")
+        super().__post_init__()
+        if self.parents_mating > self.population_size:
+            raise ValueError(f"parents_mating must lie in [2, population_size], got {self.parents_mating}")
+        if self.keep_elitism > self.population_size:
+            raise ValueError(f"keep_elitism must lie in [0, population_size], got {self.keep_elitism}")
 
     def with_population(self, population_size: int) -> "GaConfig":
         """Copy with the population resized and pool sizes rescaled in proportion."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import PropagatorCache, build_cache, make_action_set
+from .bounds import COUNT, NONNEGATIVE, POSITIVE, POSITIVE_UNIT, UNIT, Range, bounded
 from .chain import ChainSpec, Trajectory, averaged_fidelity, evolve_lockstep, evolve_sequence
 from .dqn import DqnConfig, greedy_policy, greedy_rollout, train
 from .ga import GaConfig, run_ga, run_ga_lockstep
@@ -100,8 +101,8 @@ class GreedyPolicyController:
 
 @dataclass(frozen=True)
 class ScalingSettings:
-    lengths: tuple[int, ...] = (16, 32, 64, 128)
-    n_seeds: int = 3
+    lengths: tuple[int, ...] = bounded((16, 32, 64, 128), Range(2))
+    n_seeds: int = bounded(3, COUNT)
 
 
 @dataclass
@@ -208,8 +209,8 @@ def scaling_study(
 
 @dataclass(frozen=True)
 class SweepSettings:
-    h_values: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
-    dt_values: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2)
+    h_values: tuple[float, ...] = bounded((25.0, 50.0, 100.0, 200.0), NONNEGATIVE)
+    dt_values: tuple[float, ...] = bounded((0.05, 0.1, 0.15, 0.2), POSITIVE)
 
 
 @dataclass
@@ -276,10 +277,10 @@ def sweep_h_dt(
 
 @dataclass(frozen=True)
 class ValidateSettings:
-    controller: str = "ga"
-    p_values: tuple[float, ...] = DEFAULT_NOISE_LEVELS
-    delta_values: tuple[float, ...] = DEFAULT_NOISE_LEVELS
-    runs: int = 100
+    controller: str = bounded("ga", ("ga", "dqn"))
+    p_values: tuple[float, ...] = bounded(DEFAULT_NOISE_LEVELS, UNIT)
+    delta_values: tuple[float, ...] = bounded(DEFAULT_NOISE_LEVELS, NONNEGATIVE)
+    runs: int = bounded(100, COUNT)
 
 
 @dataclass
@@ -384,9 +385,9 @@ def validate_controller(
 
 @dataclass(frozen=True)
 class HistogramSettings:
-    n_sequences: int = 1000
-    threshold: float = 0.99
-    max_runs: int = 200
+    n_sequences: int = bounded(1000, COUNT)
+    threshold: float = bounded(0.99, UNIT)
+    max_runs: int = bounded(200, COUNT)
 
 
 @dataclass
@@ -469,20 +470,21 @@ def action_histogram(
 @dataclass(frozen=True)
 class HpoRanges:
     """Random-search ranges: gamma uniform, learning rate log-uniform,
-    first hidden width integer-uniform (inclusive)."""
+    first hidden width integer-uniform (inclusive).  Each range carries the
+    bound of the ``DqnConfig`` field it feeds, so every draw is one it accepts."""
 
-    gamma: tuple[float, float] = (0.95, 1.0)
-    learning_rate: tuple[float, float] = (1e-5, 1e-2)
-    hidden1: tuple[int, int] = (512, 4096)
+    gamma: tuple[float, float] = bounded((0.95, 1.0), POSITIVE_UNIT)
+    learning_rate: tuple[float, float] = bounded((1e-5, 1e-2), POSITIVE)
+    hidden1: tuple[int, int] = bounded((512, 4096), COUNT)
 
 
 @dataclass(frozen=True)
 class HpoSettings:
-    trials: int = 32
-    val_runs: int = 100
+    trials: int = bounded(32, COUNT)
+    val_runs: int = bounded(100, COUNT)
     ranges: HpoRanges = field(default_factory=HpoRanges)
-    noise_p: float = 0.25
-    noise_delta: float = 0.25
+    noise_p: float = bounded(0.25, UNIT)
+    noise_delta: float = bounded(0.25, NONNEGATIVE)
 
 
 @dataclass

@@ -9,23 +9,19 @@ coherences the transfer protocol relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from .bounds import NONNEGATIVE, UNIT, Checked, bounded
+
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Checked):
     """Per-step dephasing: activation probability ``p``, phase scale ``delta``."""
 
-    p: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"activation probability must lie in [0, 1], got {self.p}")
-        if not (self.delta >= 0.0 and np.isfinite(self.delta)):
-            raise ValueError(f"phase scale delta must be finite and nonnegative, got {self.delta}")
+    p: float = bounded(MISSING, UNIT)
+    delta: float = bounded(MISSING, NONNEGATIVE)
 
 
 def sample_noise_gate(model: NoiseModel, n: int, gen: np.random.Generator) -> np.ndarray | None:

@@ -129,13 +129,6 @@ class QNetwork:
         for mine, theirs in zip(self.biases, other.biases):
             mine[...] = theirs
 
-    def state_equal(self, other: "QNetwork") -> bool:
-        """Exact (bit-for-bit) parameter equality."""
-        if self.sizes != other.sizes:
-            return False
-        pairs = list(zip(self.weights, other.weights)) + list(zip(self.biases, other.biases))
-        return all(a.tobytes() == b.tobytes() for a, b in pairs)
-
     def assert_finite(self) -> None:
         for arr in self.weights + self.biases:
             if not np.all(np.isfinite(arr)):
@@ -157,11 +150,13 @@ class QNetwork:
     def load(cls, path) -> "QNetwork":
         """Read a network written by :meth:`save`.
 
-        Raises ValueError when the sizes are not the four widths that
-        :meth:`__init__` builds, or a layer is missing, misshapen or not
+        Raises ValueError when the sizes are missing or not the four widths
+        that :meth:`__init__` builds, or a layer is missing, misshapen or not
         real floating point; RuntimeError when a parameter is not finite.
         """
         with np.load(path) as data:
+            if "sizes" not in data.files:
+                raise ValueError(f"{path}: missing sizes")
             sizes = tuple(int(s) for s in data["sizes"])
             if len(sizes) != 4:
                 raise ValueError(f"{path}: sizes {sizes} must list 4 layer widths")

@@ -8,7 +8,8 @@ step loop.  The rollout oracle draws its gates through the package's
 ``sample_noise_gate``, whose draw order ``tests/test_noise.py`` pins: it is
 the order the lock-step kernel must reproduce.  The per-cell validation
 oracle steps each grid cell on its own, whose bits the stacked validation
-must keep.  Deliberately slow and simple.
+must keep.  ``state_equal`` and ``replay_contents`` read a Q-network's
+parameters and a replay memory's ring.  Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -173,3 +174,31 @@ def per_cell_validation(controller, cache, stream, p_values, delta_values, n_run
             )
             out[c] = run.probabilities.max(axis=1)
     return out
+
+
+def state_equal(a, b) -> bool:
+    """Exact (bit-for-bit) parameter equality of two Q-networks."""
+    if a.sizes != b.sizes:
+        return False
+    pairs = list(zip(a.weights, b.weights)) + list(zip(a.biases, b.biases))
+    return all(x.tobytes() == y.tobytes() for x, y in pairs)
+
+
+def replay_contents(memory) -> list:
+    """Transitions stored in a ``ReplayMemory``, oldest first."""
+    from qst_control.dqn import Experience
+
+    if len(memory) < memory.capacity:
+        order = range(len(memory))
+    else:
+        order = [(memory._pos + i) % memory.capacity for i in range(memory.capacity)]
+    return [
+        Experience(
+            state=memory._states[i].copy(),
+            action=int(memory._actions[i]),
+            reward=float(memory._rewards[i]),
+            next_state=memory._next_states[i].copy(),
+            terminal=bool(memory._terminals[i]),
+        )
+        for i in order
+    ]

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import enumerate_best, propagator_oracle
+from oracles import enumerate_best, propagator_oracle, replay_contents, state_equal
 
 from qst_control.actions import build_cache, make_action_set, site_by_site_set
 from qst_control.chain import (
@@ -198,7 +198,7 @@ def test_criterion_08_dqn_mechanics():
     for i in range(8):
         s = np.array([float(i), float(i)])
         memory.push(Experience(state=s, action=i % 3, reward=float(i), next_state=s + 1, terminal=False))
-    assert [int(e.reward) for e in memory.contents()] == [3, 4, 5, 6, 7]
+    assert [int(e.reward) for e in replay_contents(memory)] == [3, 4, 5, 6, 7]
 
     # target sync: after training with sync period 1 the target network is a
     # byte-exact copy of the online network
@@ -216,7 +216,7 @@ def test_criterion_08_dqn_mechanics():
     spec = ChainSpec(n=3, dt=0.75)
     record = train(tiny, site_by_site_set(spec.n, spec.field_strength), spec, seed=RandomStream(2))
     assert record.learn_events > 0
-    assert record.target_network.state_equal(record.network)
+    assert state_equal(record.target_network, record.network)
 
 
 @pytest.mark.criterion(9, "noise grid: clean cells exact, decay monotone")

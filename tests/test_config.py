@@ -1,8 +1,11 @@
+import dataclasses
 import textwrap
+import typing
 
 import pytest
 import yaml
 
+from qst_control import config as config_module
 from qst_control.chain import ChainSpec
 from qst_control.config import (
     BaselineSettings,
@@ -207,6 +210,11 @@ ERROR_PATHS = [
     ),
     (["chain.n=8", "chain.dt=.inf"], "chain.dt", "chain.dt: must be finite, got inf"),
     (["seed=18446744073709551616"], "seed", "seed: must be at most 18446744073709551615"),
+    # bounds declared only on a dataclass field, or on none, and a float past the largest double
+    (["hpo.gamma=[0.9, 1.5]"], "hpo.gamma[1]", "hpo.gamma[1]: must be at most 1.0, got 1.5"),
+    (["chain.n=8", "chain.dt=-0.1"], "chain.dt", "chain.dt: must be positive, got -0.1"),
+    (["dqn.gamma=2"], "dqn.gamma", "dqn.gamma: must be at most 1.0, got 2.0"),
+    (["chain.n=8", "chain.coupling=1" + "0" * 400], "chain.coupling", "chain.coupling: must be finite"),
 ]
 
 
@@ -218,6 +226,31 @@ def test_config_error_paths(overrides, path, prefix):
         load_config(overrides=overrides)
     assert info.value.path == path
     assert str(info.value).startswith(prefix)
+
+
+def test_every_numeric_key_is_bounded():
+    # a new int or float field cannot skip validation; the reward scales are free
+    from qst_control.bounds import bound_of
+
+    def leaves(hint):
+        args = typing.get_args(hint)
+        return set().union(*map(leaves, args)) if args else {hint}
+
+    unbounded = []
+
+    def walk(path, schema):
+        for key, (hint, _, bound) in schema.items():
+            sub = f"{path}.{key}" if path else key
+            if dataclasses.is_dataclass(hint):
+                walk(sub, config_module._schema(hint))
+            elif leaves(hint) & {int, float} and bound is None:
+                unbounded.append(sub)
+
+    walk("", config_module._TOP)
+    assert unbounded == ["dqn.reward.scales"]
+    # every value an HPO range can draw is one DqnConfig accepts
+    dqn_bounds = {f.name: bound_of(f) for f in dataclasses.fields(DqnConfig)}
+    assert all(bound_of(f) == dqn_bounds[f.name] for f in dataclasses.fields(HpoRanges))
 
 
 def test_defaults_are_the_dataclass_defaults():

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import replay_contents, state_equal
 
 from qst_control import ChainSpec, RandomStream, build_cache, site_by_site_set
 from qst_control.dqn import (
@@ -84,10 +85,10 @@ def test_replay_evicts_oldest_first():
     mem = ReplayMemory(capacity=5, state_dim=4)
     for r in range(8):
         mem.push(exp_with_reward(r))
-    stored = [e.reward for e in mem.contents()]
+    stored = [e.reward for e in replay_contents(mem)]
     assert stored == [3.0, 4.0, 5.0, 6.0, 7.0]
     # round-trips the full record, not just the reward
-    assert mem.contents()[0].next_state[0] == pytest.approx(3.5)
+    assert replay_contents(mem)[0].next_state[0] == pytest.approx(3.5)
 
 
 def test_replay_sample_without_replacement(gen):
@@ -285,11 +286,11 @@ def test_train_deterministic_per_seed():
     spec, action_set = chain2()
     r1 = train(TINY, action_set, spec, seed=11)
     r2 = train(TINY, action_set, spec, seed=11)
-    assert r1.network.state_equal(r2.network)
+    assert state_equal(r1.network, r2.network)
     np.testing.assert_array_equal(r1.episode_max_probability, r2.episode_max_probability)
     np.testing.assert_array_equal(r1.best_sequence, r2.best_sequence)
     r3 = train(TINY, action_set, spec, seed=12)
-    assert not r1.network.state_equal(r3.network)
+    assert not state_equal(r1.network, r3.network)
 
 
 def test_train_target_sync_every_period():
@@ -298,15 +299,15 @@ def test_train_target_sync_every_period():
     record = train(synced, action_set, spec, seed=2)
     # with sync after every learning event and no update since the last
     # event, the target must end byte-identical to the online network
-    assert record.target_network.state_equal(record.network)
+    assert state_equal(record.target_network, record.network)
 
     never = dataclasses.replace(TINY, target_sync_period=10**9)
     record = train(never, action_set, spec, seed=2)
-    assert not record.target_network.state_equal(record.network)
+    assert not state_equal(record.target_network, record.network)
     # an unsynced target is still the initial network: rebuild it from the
     # same stream and compare bytes
     fresh = QNetwork(4, TINY.hidden1, TINY.hidden2, 3, rng=RandomStream(2))
-    assert record.target_network.state_equal(fresh)
+    assert state_equal(record.target_network, fresh)
 
 
 def test_train_early_termination_threshold():
@@ -326,7 +327,7 @@ def test_train_with_noise_is_deterministic():
     noisy = dataclasses.replace(TINY, episodes=10, noise_p=0.5, noise_delta=0.25)
     r1 = train(noisy, action_set, spec, seed=4)
     r2 = train(noisy, action_set, spec, seed=4)
-    assert r1.network.state_equal(r2.network)
+    assert state_equal(r1.network, r2.network)
     np.testing.assert_array_equal(r1.episode_max_probability, r2.episode_max_probability)
 
 

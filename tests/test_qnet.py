@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import state_equal
 
 from qst_control.qnet import QNetwork
 from qst_control.rng import RandomStream
@@ -23,8 +24,8 @@ def test_layer_shapes_and_init_bounds():
 def test_init_deterministic_per_stream():
     a = make_net(seed=9)
     b = make_net(seed=9)
-    assert a.state_equal(b)
-    assert not a.state_equal(make_net(seed=10))
+    assert state_equal(a, b)
+    assert not state_equal(a, make_net(seed=10))
 
 
 def test_init_rejects_bad_sizes():
@@ -106,17 +107,17 @@ def test_apply_gradients_is_plain_sgd():
 def test_clone_is_independent():
     net = make_net()
     twin = net.clone()
-    assert twin.state_equal(net)
+    assert state_equal(twin, net)
     net.weights[0][0, 0] += 1.0
-    assert not twin.state_equal(net)
+    assert not state_equal(twin, net)
 
 
 def test_copy_from_restores_byte_equality():
     net = make_net(seed=1)
     other = make_net(seed=2)
-    assert not net.state_equal(other)
+    assert not state_equal(net, other)
     other.copy_from(net)
-    assert net.state_equal(other)
+    assert state_equal(net, other)
     with pytest.raises(ValueError):
         other.copy_from(make_net(sizes=(5, 7, 3, 2)))
 
@@ -125,7 +126,7 @@ def test_state_equal_detects_single_ulp():
     net = make_net()
     twin = net.clone()
     twin.weights[1][0, 0] = np.nextafter(twin.weights[1][0, 0], np.inf)
-    assert not net.state_equal(twin)
+    assert not state_equal(net, twin)
 
 
 def test_assert_finite():
@@ -141,7 +142,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "net.npz"
     net.save(path)
     loaded = QNetwork.load(path)
-    assert loaded.state_equal(net)
+    assert state_equal(loaded, net)
     x = RandomStream(5).generator().normal(size=(3, 5))
     np.testing.assert_array_equal(loaded.q_batch(x), net.q_batch(x))
 
@@ -162,10 +163,11 @@ def test_load_rejects_a_layer_that_disagrees_with_sizes(tmp_path):
     with pytest.raises(ValueError, match="b2"):
         QNetwork.load(path)
     payload["b2"] = net.biases[2]
-    # a complex layer, a missing layer, and sizes that name no layer at all
+    # a complex layer, a missing layer, no sizes, and sizes that name no layer at all
     cases = {
         r"w0 is complex128 \(7, 5\)": {**payload, "w0": net.weights[0].astype(complex)},
         "missing w1": {k: v for k, v in payload.items() if k != "w1"},
+        "missing sizes": {k: v for k, v in payload.items() if k != "sizes"},
         r"sizes \(8,\) must list 4": {"sizes": np.array([8])},
     }
     for message, bad in cases.items():
