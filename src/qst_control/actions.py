@@ -20,11 +20,21 @@ labelling of chain ends; masks are 0-based arrays.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import bound_of, check
 from .chain import ChainSpec, build_step_hamiltonian, step_propagator
+
+_CHAIN_BOUNDS = {f.name: bound_of(f) for f in dataclasses.fields(ChainSpec)}
+
+
+def _check_chain(n: int, h: float) -> None:
+    """Check a set's chain length and field against ``ChainSpec``'s bounds."""
+    check(n, _CHAIN_BOUNDS["n"], "n")
+    check(h, _CHAIN_BOUNDS["field_strength"], "h")
 
 
 @dataclass(frozen=True)
@@ -68,10 +78,7 @@ class ActionSet:
 
 def site_by_site_set(n: int, h: float = 100.0) -> ActionSet:
     """The n+1 single-site actions (0 = no field, k = field on site k)."""
-    if n < 2:
-        raise ValueError(f"chain needs at least 2 sites, got n={n}")
-    if h < 0:
-        raise ValueError(f"field strength must be nonnegative, got {h}")
+    _check_chain(n, h)
     actions = []
     for a in range(n + 1):
         mask = np.zeros(n)
@@ -101,10 +108,9 @@ def zhang16_set(n: int, h: float = 100.0) -> ActionSet:
     The lower bound keeps the head block (sites 1-3) and the tail block
     (sites n-2..n) disjoint so all 16 patterns are distinct.
     """
+    _check_chain(n, h)
     if n < 6:
         raise ValueError(f"the 16-action set needs n >= 6 so the end blocks do not overlap, got n={n}")
-    if h < 0:
-        raise ValueError(f"field strength must be nonnegative, got {h}")
     actions = []
     for a in range(16):
         mask = np.zeros(n)

@@ -17,7 +17,8 @@ spreads into ``hpo``.  A key's bound is the one declared on its field
 (:mod:`qst_control.bounds`), which the checked dataclasses also enforce
 when built, so a value out of range is reported under its dotted path.
 Only the top-level keys are written here.  A dataclass that rejects a
-combination of values is reported under its section.
+combination of values is reported under its section, and an action set
+that does not fit the chain under ``action_set``.
 """
 
 from __future__ import annotations
@@ -248,6 +249,11 @@ def _build(resolved: dict) -> ExperimentConfig:
             sections[name] = _build_section(cls, resolved[name])
         except ValueError as exc:
             raise ConfigError(name, str(exc)) from None
+    chain = sections["chain"]
+    try:
+        make_action_set(resolved["action_set"], chain.n, chain.field_strength)
+    except ValueError as exc:
+        raise ConfigError("action_set", str(exc)) from None
     return ExperimentConfig(
         mode=resolved.get("mode"),
         seed=resolved["seed"],

@@ -16,6 +16,7 @@ decays linearly per learning event to a floor.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -113,11 +114,11 @@ class ReplayMemory:
             raise ValueError(f"cannot sample {k} items from a memory holding {self._size}")
         idx = gen.choice(self._size, size=k, replace=False)
         return Batch(
-            states=self._states[idx],
-            actions=self._actions[idx],
-            rewards=self._rewards[idx],
-            next_states=self._next_states[idx],
-            terminals=self._terminals[idx],
+            states=self._states.take(idx, axis=0),
+            actions=self._actions.take(idx),
+            rewards=self._rewards.take(idx),
+            next_states=self._next_states.take(idx, axis=0),
+            terminals=self._terminals.take(idx),
         )
 
 
@@ -189,7 +190,7 @@ def epsilon_greedy(net: QNetwork, state: np.ndarray, epsilon: float, gen: np.ran
     """
     if gen.random() < epsilon:
         return int(gen.integers(0, net.n_outputs))
-    return int(np.argmax(net.q_values(state)))
+    return int(net.q_values(state).argmax())
 
 
 def td_update(
@@ -207,14 +208,12 @@ def td_update(
     q_next = target_net.q_batch(batch.next_states).max(axis=1)
     targets = batch.rewards + gamma * q_next * ~batch.terminals
     loss, grads = net.loss_and_gradients(batch.states, batch.actions, targets)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise RuntimeError(
             f"non-finite TD loss ({loss}); the network has diverged, lower the learning rate"
         )
-    for arrs in grads:
-        for g in arrs:
-            if not np.all(np.isfinite(g)):
-                raise RuntimeError("non-finite gradients; the network has diverged")
+    if not np.isfinite(grads.flat).all():
+        raise RuntimeError("non-finite gradients; the network has diverged")
     net.apply_gradients(grads, learning_rate)
     return loss
 
@@ -279,12 +278,12 @@ def train(
     for episode in range(config.episodes):
         psi = np.zeros(spec.n, dtype=complex)
         psi[0] = 1.0
+        state = encode_state(psi)
         actions_taken = np.empty(length, dtype=np.int64)
         losses = []
         max_p = 0.0
         steps_done = 0
         for t in range(length):
-            state = encode_state(psi)
             a = epsilon_greedy(net, state, epsilon, gen)
             psi = cache.unitaries[a] @ psi
             if noise is not None:
@@ -295,15 +294,17 @@ def train(
             terminal = t == length - 1 or (
                 config.fidelity_threshold > 0.0 and p >= config.fidelity_threshold
             )
+            next_state = encode_state(psi)
             memory.push(
                 Experience(
                     state=state,
                     action=a,
                     reward=config.reward_table(p),
-                    next_state=encode_state(psi),
+                    next_state=next_state,
                     terminal=terminal,
                 )
             )
+            state = next_state
             actions_taken[t] = a
             steps_done = t + 1
             max_p = max(max_p, p)

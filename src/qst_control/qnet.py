@@ -1,10 +1,11 @@
 """Minimal fully connected Q-network: float64, two ReLU layers, plain SGD.
 
-There is deliberately no autograd framework underneath.  The network is a
-list of weight matrices with hand-derived backprop, which keeps the update
-rule auditable, lets tests compare analytic gradients against finite
-differences, and makes target-network synchronization a byte-exact array
-copy instead of a framework-specific state_dict dance.
+There is deliberately no autograd framework underneath.  The network is
+three weight matrices and bias vectors with hand-derived backprop, which
+keeps the update rule auditable and lets tests compare analytic gradients
+against finite differences.  All parameters live in one flat array, so
+target-network synchronization is one byte-exact array copy, the SGD step
+one in-place subtraction and a finiteness check one pass.
 """
 
 from __future__ import annotations
@@ -17,12 +18,45 @@ import numpy as np
 from .rng import RandomStream
 
 
+def _layers(flat: np.ndarray, sizes) -> tuple[tuple, tuple]:
+    """Per-layer (weights, biases) views into a parameter-shaped flat array,
+    laid out w0, b0, w1, b1, w2, b2, each weight matrix (fan_out, fan_in)."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return tuple(weights), tuple(biases)
+
+
+def _flatten(weights, biases) -> np.ndarray:
+    """The flat float64 array that :func:`_layers` splits back into these layers."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair], dtype=float)
+
+
+class Gradients:
+    """Per-layer gradients as views into one flat array ``flat``, laid out
+    like :attr:`QNetwork.params`; unpacks as (weight_grads, bias_grads)."""
+
+    __slots__ = ("flat", "weights", "biases")
+
+    def __init__(self, flat: np.ndarray, sizes) -> None:
+        self.flat = flat
+        self.weights, self.biases = _layers(flat, sizes)
+
+    def __iter__(self):
+        return iter((self.weights, self.biases))
+
+
 class QNetwork:
     """State-action value network q(s)[a].
 
     Architecture: n_inputs -> hidden1 (ReLU) -> hidden2 (ReLU) ->
     n_outputs (linear).  Weights and biases initialize uniformly in
-    [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer.
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer.  ``params`` holds every
+    parameter; ``weights[i]`` and ``biases[i]`` are writable views into it.
     """
 
     def __init__(
@@ -38,12 +72,16 @@ class QNetwork:
             raise ValueError(f"all layer sizes must be positive, got {sizes}")
         gen = rng.generator() if isinstance(rng, RandomStream) else rng
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        weights, biases = [], []
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
             bound = 1.0 / math.sqrt(fan_in)
-            self.weights.append(gen.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(gen.uniform(-bound, bound, size=fan_out))
+            weights.append(gen.uniform(-bound, bound, size=(fan_out, fan_in)))
+            biases.append(gen.uniform(-bound, bound, size=fan_out))
+        self._bind(_flatten(weights, biases))
+
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        self.weights, self.biases = _layers(params, self.sizes)
 
     @property
     def n_inputs(self) -> int:
@@ -54,23 +92,23 @@ class QNetwork:
         return self.sizes[-1]
 
     def _forward(self, x: np.ndarray):
-        """Batched forward pass; returns q values plus per-layer inputs."""
-        acts = [x]
-        h = x
-        last = len(self.weights) - 1
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
-            if li < last:
-                np.maximum(h, 0.0, out=h)
-                acts.append(h)
-        return h, acts
+        """Batched forward pass; returns q values and both hidden activations."""
+        (w0, w1, w2), (b0, b1, b2) = self.weights, self.biases
+        h1 = x @ w0.T
+        h1 += b0
+        np.maximum(h1, 0.0, out=h1)
+        h2 = h1 @ w1.T
+        h2 += b1
+        np.maximum(h2, 0.0, out=h2)
+        q = h2 @ w2.T
+        q += b2
+        return q, h1, h2
 
     def q_batch(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
         if states.ndim != 2 or states.shape[1] != self.n_inputs:
             raise ValueError(f"states must have shape (B, {self.n_inputs}), got {states.shape}")
-        q, _ = self._forward(states)
-        return q
+        return self._forward(states)[0]
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
         return self.q_batch(np.asarray(state, dtype=float)[None, :])[0]
@@ -80,59 +118,56 @@ class QNetwork:
 
         loss = mean_i (q(s_i)[a_i] - target_i)^2
 
-        Returns (loss, (weight_grads, bias_grads)) with gradient lists
-        ordered like the parameter lists.
+        Returns (loss, Gradients): the gradients unpack as (weight_grads,
+        bias_grads), ordered like ``weights`` and ``biases``, and are views
+        into a flat array allocated by this call, so they outlive later calls.
         """
         states = np.asarray(states, dtype=float)
         actions = np.asarray(actions, dtype=np.int64)
         targets = np.asarray(targets, dtype=float)
         batch = states.shape[0]
-        q, acts = self._forward(states)
+        q, h1, h2 = self._forward(states)
         rows = np.arange(batch)
         err = q[rows, actions] - targets
-        loss = float(np.mean(err**2))
+        loss = float((err * err).sum()) / batch  # the bits of np.mean(err**2)
 
-        grad_q = np.zeros_like(q)
-        grad_q[rows, actions] = 2.0 * err / batch
-        weight_grads = [None] * len(self.weights)
-        bias_grads = [None] * len(self.biases)
-        g = grad_q
-        for li in range(len(self.weights) - 1, -1, -1):
-            weight_grads[li] = g.T @ acts[li]
-            bias_grads[li] = g.sum(axis=0)
+        g = np.zeros_like(q)
+        g[rows, actions] = 2.0 * err / batch
+        grads = Gradients(np.empty(self.params.size), self.sizes)
+        weight_grads, bias_grads = grads.weights, grads.biases
+        acts = (states, h1, h2)
+        for li in (2, 1, 0):
+            np.matmul(g.T, acts[li], out=weight_grads[li])
+            g.sum(axis=0, out=bias_grads[li])
             if li > 0:
                 # ReLU mask: acts[li] holds the post-activation values
-                g = (g @ self.weights[li]) * (acts[li] > 0.0)
-        return loss, (weight_grads, bias_grads)
+                g = g @ self.weights[li]
+                np.multiply(g, acts[li] > 0.0, out=g)
+        return loss, grads
 
     def apply_gradients(self, grads, learning_rate: float) -> None:
-        weight_grads, bias_grads = grads
-        for w, gw in zip(self.weights, weight_grads):
-            w -= learning_rate * gw
-        for b, gb in zip(self.biases, bias_grads):
-            b -= learning_rate * gb
+        """Plain SGD, ``params -= learning_rate * grads``: ``grads`` is what
+        :meth:`loss_and_gradients` returns or a (weight_grads, bias_grads)
+        pair of per-layer lists."""
+        flat = grads.flat if isinstance(grads, Gradients) else _flatten(*grads)
+        self.params -= learning_rate * flat
 
     # ------------------------------------------------------------- copies
 
     def clone(self) -> "QNetwork":
         other = object.__new__(QNetwork)
         other.sizes = self.sizes
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other._bind(self.params.copy())
         return other
 
     def copy_from(self, other: "QNetwork") -> None:
         if self.sizes != other.sizes:
             raise ValueError(f"size mismatch: {self.sizes} vs {other.sizes}")
-        for mine, theirs in zip(self.weights, other.weights):
-            mine[...] = theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine[...] = theirs
+        self.params[...] = other.params
 
     def assert_finite(self) -> None:
-        for arr in self.weights + self.biases:
-            if not np.all(np.isfinite(arr)):
-                raise RuntimeError("network parameters contain non-finite values")
+        if not np.isfinite(self.params).all():
+            raise RuntimeError("network parameters contain non-finite values")
 
     # -------------------------------------------------------- persistence
 
@@ -163,14 +198,15 @@ class QNetwork:
             missing = [f"{k}{i}" for i in range(3) for k in "wb" if f"{k}{i}" not in data.files]
             if missing:
                 raise ValueError(f"{path}: missing {', '.join(missing)}")
-            net = object.__new__(cls)
-            net.sizes = sizes
-            net.weights = [data[f"w{i}"] for i in range(3)]
-            net.biases = [data[f"b{i}"] for i in range(3)]
+            weights = [data[f"w{i}"] for i in range(3)]
+            biases = [data[f"b{i}"] for i in range(3)]
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            expected = ((f"w{i}", net.weights[i], (fan_out, fan_in)), (f"b{i}", net.biases[i], (fan_out,)))
+            expected = ((f"w{i}", weights[i], (fan_out, fan_in)), (f"b{i}", biases[i], (fan_out,)))
             for name, arr, shape in expected:
                 if arr.dtype.kind != "f" or arr.shape != shape:
                     raise ValueError(f"{path}: {name} is {arr.dtype} {arr.shape}, sizes {sizes} need float {shape}")
+        net = object.__new__(cls)
+        net.sizes = sizes
+        net._bind(_flatten(weights, biases))
         net.assert_finite()
         return net

@@ -8,13 +8,16 @@ step loop.  The rollout oracle draws its gates through the package's
 ``sample_noise_gate``, whose draw order ``tests/test_noise.py`` pins: it is
 the order the lock-step kernel must reproduce.  The per-cell validation
 oracle steps each grid cell on its own, whose bits the stacked validation
-must keep.  ``state_equal`` and ``replay_contents`` read a Q-network's
-parameters and a replay memory's ring.  Deliberately slow and simple.
+must keep.  The training oracle is the DQN loop on per-array networks
+and a per-array replay ring, whose bits ``dqn.train`` must keep.
+``state_equal`` and ``replay_contents`` read a Q-network's parameters and
+a replay memory's ring.  Deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -202,3 +205,206 @@ def replay_contents(memory) -> list:
         )
         for i in order
     ]
+
+
+class _PerArrayNet:
+    """The Q-network as separate per-layer weight and bias arrays: the
+    per-array forward, backward and SGD update that ``QNetwork``'s flat
+    storage must reproduce bit for bit."""
+
+    def __init__(self, sizes, gen) -> None:
+        self.sizes = tuple(sizes)
+        self.weights, self.biases = [], []
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            bound = 1.0 / math.sqrt(fan_in)
+            self.weights.append(gen.uniform(-bound, bound, size=(fan_out, fan_in)))
+            self.biases.append(gen.uniform(-bound, bound, size=fan_out))
+
+    def clone(self) -> "_PerArrayNet":
+        other = object.__new__(_PerArrayNet)
+        other.sizes = self.sizes
+        other.weights = [w.copy() for w in self.weights]
+        other.biases = [b.copy() for b in self.biases]
+        return other
+
+    def copy_from(self, other) -> None:
+        for mine, theirs in zip(self.weights + self.biases, other.weights + other.biases):
+            mine[...] = theirs
+
+    def forward(self, x):
+        acts = [x]
+        h = x
+        last = len(self.weights) - 1
+        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w.T + b
+            if li < last:
+                np.maximum(h, 0.0, out=h)
+                acts.append(h)
+        return h, acts
+
+    def loss_and_gradients(self, states, actions, targets):
+        batch = states.shape[0]
+        q, acts = self.forward(states)
+        rows = np.arange(batch)
+        err = q[rows, actions] - targets
+        loss = float(np.mean(err**2))
+        grad_q = np.zeros_like(q)
+        grad_q[rows, actions] = 2.0 * err / batch
+        weight_grads = [None] * len(self.weights)
+        bias_grads = [None] * len(self.biases)
+        g = grad_q
+        for li in range(len(self.weights) - 1, -1, -1):
+            weight_grads[li] = g.T @ acts[li]
+            bias_grads[li] = g.sum(axis=0)
+            if li > 0:
+                g = (g @ self.weights[li]) * (acts[li] > 0.0)
+        return loss, (weight_grads, bias_grads)
+
+    def apply_gradients(self, grads, learning_rate) -> None:
+        weight_grads, bias_grads = grads
+        for w, gw in zip(self.weights, weight_grads):
+            w -= learning_rate * gw
+        for b, gb in zip(self.biases, bias_grads):
+            b -= learning_rate * gb
+
+
+class _PerArrayReplay:
+    """The replay ring with separate state and next-state arrays."""
+
+    def __init__(self, capacity: int, state_dim: int) -> None:
+        self.capacity = capacity
+        self.states = np.empty((capacity, state_dim))
+        self.actions = np.empty(capacity, dtype=np.int64)
+        self.rewards = np.empty(capacity)
+        self.next_states = np.empty((capacity, state_dim))
+        self.terminals = np.empty(capacity, dtype=bool)
+        self.size = 0
+        self.pos = 0
+
+    def push(self, state, action, reward, next_state, terminal) -> None:
+        i = self.pos
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.terminals[i] = terminal
+        self.pos = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, k: int, gen):
+        idx = gen.choice(self.size, size=k, replace=False)
+        return (self.states[idx], self.actions[idx], self.rewards[idx],
+                self.next_states[idx], self.terminals[idx])
+
+
+def _td_update_oracle(net, target_net, batch, gamma, learning_rate) -> float:
+    states, actions, rewards, next_states, terminals = batch
+    q_next, _ = target_net.forward(next_states)
+    targets = rewards + gamma * q_next.max(axis=1) * ~terminals
+    loss, grads = net.loss_and_gradients(states, actions, targets)
+    if not np.isfinite(loss):
+        raise RuntimeError(
+            f"non-finite TD loss ({loss}); the network has diverged, lower the learning rate"
+        )
+    for arrs in grads:
+        for g in arrs:
+            if not np.all(np.isfinite(g)):
+                raise RuntimeError("non-finite gradients; the network has diverged")
+    net.apply_gradients(grads, learning_rate)
+    return loss
+
+
+def train_oracle(config, action_set, spec, seed):
+    """``dqn.train`` one step at a time on per-array networks.
+
+    Every state is encoded twice (as the step's state, then as the next
+    state), every gradient array is checked on its own and updated on its
+    own.  Returns a namespace with the online and target ``weights`` and
+    ``biases``, the per-episode arrays, the best sequence and episode, the
+    number of completed learning events, and ``error``: the message of the
+    ``RuntimeError`` a diverging update raised (None if none did), in which
+    case the networks and ``learn_events`` are those at the raise.
+    """
+    from types import SimpleNamespace
+
+    from qst_control.actions import build_cache
+    from qst_control.noise import sample_noise_gate
+    from qst_control.rng import as_stream
+
+    gen = as_stream(seed).generator()
+    cache = build_cache(action_set, spec)
+    length = spec.n_steps
+    noise = config.noise_model()
+    net = _PerArrayNet((2 * spec.n, config.hidden1, config.resolved_hidden2, len(action_set)), gen)
+    target_net = net.clone()
+    memory = _PerArrayReplay(config.replay_capacity, 2 * spec.n)
+
+    def encode(psi):
+        return np.concatenate([psi.real, psi.imag])
+
+    epsilon = config.epsilon_after(0)
+    global_step = learn_events = 0
+    ep_max = np.empty(config.episodes)
+    ep_eps = np.empty(config.episodes)
+    ep_loss = np.full(config.episodes, np.nan)
+    best_p, best_seq, best_episode = -1.0, None, -1
+    error = None
+    try:
+        for episode in range(config.episodes):
+            psi = np.zeros(spec.n, dtype=complex)
+            psi[0] = 1.0
+            actions_taken = np.empty(length, dtype=np.int64)
+            losses = []
+            max_p = 0.0
+            steps_done = 0
+            for t in range(length):
+                state = encode(psi)
+                if gen.random() < epsilon:
+                    a = int(gen.integers(0, len(action_set)))
+                else:
+                    q, _ = net.forward(state[None, :])
+                    a = int(np.argmax(q[0]))
+                psi = cache.unitaries[a] @ psi
+                if noise is not None:
+                    gate = sample_noise_gate(noise, spec.n, gen)
+                    if gate is not None:
+                        psi = gate * psi
+                p = float(np.abs(psi[-1]) ** 2)
+                terminal = t == length - 1 or (
+                    config.fidelity_threshold > 0.0 and p >= config.fidelity_threshold
+                )
+                memory.push(state, a, config.reward_table(p), encode(psi), terminal)
+                actions_taken[t] = a
+                steps_done = t + 1
+                max_p = max(max_p, p)
+                global_step += 1
+                if memory.size >= config.minibatch and global_step % config.learning_period == 0:
+                    batch = memory.sample(config.minibatch, gen)
+                    losses.append(_td_update_oracle(net, target_net, batch, config.gamma, config.learning_rate))
+                    learn_events += 1
+                    epsilon = config.epsilon_after(learn_events)
+                    if learn_events % config.target_sync_period == 0:
+                        target_net.copy_from(net)
+                if terminal:
+                    break
+            ep_max[episode] = max_p
+            ep_eps[episode] = epsilon
+            if losses:
+                ep_loss[episode] = float(np.mean(losses))
+            if max_p > best_p:
+                best_p = max_p
+                best_seq = actions_taken[:steps_done].copy()
+                best_episode = episode
+    except RuntimeError as exc:
+        error = str(exc)
+    return SimpleNamespace(
+        network=net,
+        target_network=target_net,
+        best_sequence=best_seq,
+        best_episode=best_episode,
+        episode_max_probability=ep_max,
+        episode_epsilon=ep_eps,
+        episode_loss=ep_loss,
+        learn_events=learn_events,
+        error=error,
+    )

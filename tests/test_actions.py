@@ -19,15 +19,23 @@ def test_site_by_site_masks():
 
 
 def test_site_by_site_validation():
-    with pytest.raises(ValueError):
+    # the bounds and wording of ChainSpec's n and field_strength
+    with pytest.raises(ValueError, match="^n: must be at least 2, got 1$"):
         site_by_site_set(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^h: must be at least 0\.0, got -1\.0$"):
         site_by_site_set(4, h=-1.0)
+    for h in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^h: must be finite, got {h}$"):
+            site_by_site_set(4, h=h)
 
 
 def test_zhang16_requires_six_sites():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs n >= 6"):
         zhang16_set(5)
+    with pytest.raises(ValueError, match="^n: must be at least 2"):
+        zhang16_set(1)
+    with pytest.raises(ValueError, match="^h: must be finite, got nan$"):
+        zhang16_set(6, float("nan"))
     assert len(zhang16_set(6)) == 16
 
 

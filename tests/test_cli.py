@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -278,14 +279,28 @@ def test_mode_mismatch_exits_2(tmp_path, capsys):
 
 
 def test_runtime_error_exits_1(tmp_path, capsys):
-    # the 16-action set needs n >= 6, which only surfaces when building it
-    rc = main(
-        ["ga", "--out", str(tmp_path), "--set", "chain.n=4", "--set", "action_set=zhang16"]
-    )
+    # a learning rate this large diverges within the first learning events
+    args = ["dqn-train", "--out", str(tmp_path), "--set", "chain.n=4",
+            "--set", "dqn.learning_rate=1000", "--set", "dqn.episodes=10"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(args)
     assert rc == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "runtime"
-    assert "ValueError" in record["message"]
+    assert record["message"].startswith("RuntimeError: non-finite TD loss")
+
+
+def test_action_set_too_large_for_the_chain_exits_2():
+    # the 16-action set needs n >= 6: config rejects the pair before any run
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qst_control.cli", "describe", "--set", "chain.n=4", "--set", "action_set=zhang16"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    record = json.loads(proc.stderr.strip())
+    assert record["path"] == "action_set"
+    assert "needs n >= 6" in record["message"]
 
 
 def test_installed_entry_point(tmp_path):

@@ -215,6 +215,8 @@ ERROR_PATHS = [
     (["chain.n=8", "chain.dt=-0.1"], "chain.dt", "chain.dt: must be positive, got -0.1"),
     (["dqn.gamma=2"], "dqn.gamma", "dqn.gamma: must be at most 1.0, got 2.0"),
     (["chain.n=8", "chain.coupling=1" + "0" * 400], "chain.coupling", "chain.coupling: must be finite"),
+    # an action set the chain is too short for
+    (["chain.n=4", "action_set=zhang16"], "action_set", "action_set: the 16-action set needs n >= 6"),
 ]
 
 

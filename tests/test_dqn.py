@@ -2,9 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import replay_contents, state_equal
+from oracles import replay_contents, state_equal, train_oracle
 
-from qst_control import ChainSpec, RandomStream, build_cache, site_by_site_set
+from qst_control import ChainSpec, RandomStream, build_cache, dqn, site_by_site_set
 from qst_control.dqn import (
     Batch,
     DqnConfig,
@@ -252,6 +252,21 @@ def test_td_update_actually_descends():
     assert losses[-1] < losses[0]
 
 
+def test_td_update_checks_gradients_before_updating():
+    # huge hidden activations and a tiny output layer: the loss stays
+    # finite, the output layer's weight gradient overflows
+    net = QNetwork(4, 6, 3, 2, rng=RandomStream(6))
+    net.weights[0][...] = np.abs(net.weights[0]) * 1e300
+    net.biases[0][...] = 0.0
+    net.weights[1][...] = np.abs(net.weights[1])
+    net.weights[2][...] = 1e-300
+    before = net.params.copy()
+    exp = Experience(np.ones(4), 0, 1e10, np.ones(4), True)
+    with pytest.raises(RuntimeError, match="non-finite gradients"), np.errstate(over="ignore", invalid="ignore"):
+        td_update(net, net.clone(), batch_of(exp), gamma=0.9, learning_rate=1e-3)
+    assert net.params.tobytes() == before.tobytes()
+
+
 def test_td_update_aborts_on_divergence():
     net = QNetwork(4, 6, 3, 2, rng=RandomStream(6))
     target = net.clone()
@@ -335,6 +350,66 @@ def test_train_rejects_mismatched_action_set():
     spec, _ = chain2()
     with pytest.raises(ValueError):
         train(TINY, site_by_site_set(3), spec, seed=0)
+
+
+# ------------------------------------------- train against the per-array oracle
+
+ORACLE_CONFIGS = {
+    "defaults": DqnConfig(episodes=60),
+    "noise": DqnConfig(episodes=40, noise_p=0.5, noise_delta=0.25),
+    "threshold": DqnConfig(episodes=60, fidelity_threshold=0.3),
+    "sync": DqnConfig(episodes=40, target_sync_period=3, replay_capacity=40, minibatch=8),
+    "hidden2": DqnConfig(episodes=40, hidden1=30, hidden2=17),
+}
+
+
+def chain4():
+    spec = ChainSpec(n=4)
+    return spec, site_by_site_set(4, spec.field_strength)
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_train_matches_the_per_array_oracle(name):
+    config = ORACLE_CONFIGS[name]
+    spec, action_set = chain4()
+    record = train(config, action_set, spec, seed=RandomStream(0))
+    oracle = train_oracle(config, action_set, spec, RandomStream(0))
+    assert oracle.error is None
+    assert state_equal(record.network, oracle.network)
+    assert state_equal(record.target_network, oracle.target_network)
+    for field in ("episode_max_probability", "episode_epsilon", "episode_loss", "best_sequence"):
+        assert_same_bytes(getattr(record, field), getattr(oracle, field))
+    assert record.best_episode == oracle.best_episode
+    assert record.learn_events == oracle.learn_events
+    if name == "threshold":
+        assert len(record.best_sequence) < spec.n_steps  # some episode stopped early
+
+
+def test_train_diverges_where_the_oracle_does(monkeypatch):
+    config = DqnConfig(episodes=60, hidden1=12, learning_rate=10.0)
+    spec, action_set = chain4()
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = train_oracle(config, action_set, spec, RandomStream(0))
+    assert oracle.error is not None and oracle.learn_events > 100
+    calls = []
+
+    def counted(net, target_net, *args):
+        calls.append((net, target_net))
+        return td_update(net, target_net, *args)
+
+    monkeypatch.setattr(dqn, "td_update", counted)
+    with pytest.raises(RuntimeError) as info, np.errstate(over="ignore", invalid="ignore"):
+        train(config, action_set, spec, seed=RandomStream(0))
+    assert str(info.value) == oracle.error
+    assert len(calls) == oracle.learn_events + 1
+    # the failed update left both networks as they were
+    net, target_net = calls[-1]
+    assert state_equal(net, oracle.network)
+    assert state_equal(target_net, oracle.target_network)
 
 
 # ----------------------------------------------------------------- rollout

@@ -118,6 +118,9 @@ def test_copy_from_restores_byte_equality():
     assert not state_equal(net, other)
     other.copy_from(net)
     assert state_equal(net, other)
+    # a copy, not shared storage
+    other.biases[2][0] += 1.0
+    assert not state_equal(net, other)
     with pytest.raises(ValueError):
         other.copy_from(make_net(sizes=(5, 7, 3, 2)))
 
@@ -143,6 +146,8 @@ def test_save_load_round_trip(tmp_path):
     net.save(path)
     loaded = QNetwork.load(path)
     assert state_equal(loaded, net)
+    assert loaded.params.dtype == np.float64
+    assert loaded.params.tobytes() == net.params.tobytes()
     x = RandomStream(5).generator().normal(size=(3, 5))
     np.testing.assert_array_equal(loaded.q_batch(x), net.q_batch(x))
 
@@ -184,3 +189,43 @@ def test_load_rejects_a_non_finite_weight(tmp_path):
     net.save(path)
     with pytest.raises(RuntimeError, match="non-finite"):
         QNetwork.load(path)
+
+
+# --------------------------------------------------------- flat storage
+
+
+def test_gradients_survive_later_calls():
+    net = make_net()
+    gen = RandomStream(4).generator()
+    batches = [(gen.normal(size=(8, 5)), gen.integers(0, 4, size=8), gen.normal(size=8)) for _ in range(2)]
+    _, first = net.loss_and_gradients(*batches[0])
+    kept = first.flat.copy()
+    _, second = net.loss_and_gradients(*batches[1])
+    assert first.flat.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first.flat, second.flat)
+    gw, gb = first
+    assert [g.shape for g in gw] == [w.shape for w in net.weights]
+    assert [g.shape for g in gb] == [b.shape for b in net.biases]
+
+
+def test_layer_views_edit_the_flat_parameters():
+    net = make_net()
+    x = RandomStream(5).generator().normal(size=(3, 5))
+    before = net.q_batch(x)
+    net.weights[2][1, :] += 1.0
+    after = net.q_batch(x)
+    assert not np.array_equal(before[:, 1], after[:, 1])
+    np.testing.assert_array_equal(before[:, [0, 2, 3]], after[:, [0, 2, 3]])
+    assert net.params.size == sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
+
+
+def test_apply_gradients_takes_per_layer_lists_or_its_own_gradients():
+    net = make_net()
+    gen = RandomStream(6).generator()
+    _, grads = net.loss_and_gradients(gen.normal(size=(8, 5)), gen.integers(0, 4, size=8), gen.normal(size=8))
+    as_lists = ([g.copy() for g in grads.weights], [g.copy() for g in grads.biases])
+    twin = net.clone()
+    net.apply_gradients(grads, 0.1)
+    twin.apply_gradients(as_lists, 0.1)
+    assert net.params.tobytes() == twin.params.tobytes()
