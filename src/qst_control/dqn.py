@@ -234,6 +234,9 @@ class TrainRecord:
     wall_time: float
 
 
+# A diverging run overflows before td_update's finiteness check stops it;
+# the check raises, so numpy's warnings would only add noise on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     config: DqnConfig,
     action_set: ActionSet,

@@ -10,8 +10,10 @@ the order the lock-step kernel must reproduce.  The per-cell validation
 oracle steps each grid cell on its own, whose bits the stacked validation
 must keep.  The training oracle is the DQN loop on per-array networks
 and a per-array replay ring, whose bits ``dqn.train`` must keep.
-``state_equal`` and ``replay_contents`` read a Q-network's parameters and
-a replay memory's ring.  Deliberately slow and simple.
+The offspring oracle is the GA's per-child operator loop, whose children
+and generator state the bulk offspring path must keep.  ``state_equal``
+and ``replay_contents`` read a Q-network's parameters and a replay
+memory's ring.  Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -177,6 +179,23 @@ def per_cell_validation(controller, cache, stream, p_values, delta_values, n_run
             )
             out[c] = run.probabilities.max(axis=1)
     return out
+
+
+def offspring_oracle(config, genes, fit, mutated_genes: int, gen):
+    """Elite indices and children of one GA generation, one child at a time."""
+    from qst_control.ga import select_parents_sss, swap_mutation, uniform_crossover
+
+    ranked = select_parents_sss(fit, max(config.parents_mating, config.keep_elitism))
+    pool = genes[ranked[: config.parents_mating]]
+    children = []
+    for _ in range(config.population_size - config.keep_elitism):
+        i = int(gen.integers(0, len(pool)))
+        j = int(gen.integers(0, len(pool) - 1))
+        if j >= i:
+            j += 1
+        child = uniform_crossover(pool[i], pool[j], config.crossover_probability, gen)
+        children.append(swap_mutation(child, config.mutation_probability, mutated_genes, gen))
+    return ranked[: config.keep_elitism], np.array(children, dtype=np.int64).reshape(-1, genes.shape[1])
 
 
 def state_equal(a, b) -> bool:

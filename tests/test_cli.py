@@ -290,6 +290,20 @@ def test_runtime_error_exits_1(tmp_path, capsys):
     assert record["message"].startswith("RuntimeError: non-finite TD loss")
 
 
+def test_diverging_run_writes_one_json_document_to_stderr(tmp_path):
+    # the overflow before the TD check raises must not reach stderr as warnings
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qst_control.cli", "dqn-train", "--out", str(tmp_path), "--set", "chain.n=4",
+         "--set", "dqn.learning_rate=1000", "--set", "dqn.episodes=10"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    record = json.loads(proc.stderr)
+    assert record["error"] == "runtime"
+    assert record["message"].startswith("RuntimeError: non-finite TD loss")
+
+
 def test_action_set_too_large_for_the_chain_exits_2():
     # the 16-action set needs n >= 6: config rejects the pair before any run
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))

@@ -1,16 +1,20 @@
 import dataclasses
+import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_best
-from qst_control import ChainSpec, NoiseModel, RandomStream, build_cache, site_by_site_set
+from oracles import enumerate_best, offspring_oracle
+from qst_control import ChainSpec, NoiseModel, RandomStream, build_cache, ga, site_by_site_set
 from qst_control.ga import (
     GaConfig,
     HaltReason,
     _evaluate,
+    _offspring,
     init_population,
     run_ga,
     run_ga_lockstep,
@@ -131,6 +135,12 @@ def test_uniform_crossover_gene_mixing_rate():
 def test_uniform_crossover_length_mismatch(gen):
     with pytest.raises(ValueError):
         uniform_crossover(np.zeros(3), np.zeros(4), 0.5, gen)
+
+
+@pytest.mark.parametrize("probability", [float("nan"), 1.5, -0.1])
+def test_uniform_crossover_rejects_a_probability_outside_the_unit_interval(gen, probability):
+    with pytest.raises(ValueError, match="probability"):
+        uniform_crossover(np.zeros(3), np.ones(3), probability, gen)
 
 
 @settings(max_examples=50, deadline=None)
@@ -325,3 +335,179 @@ def test_lockstep_seeds_match_their_runs_alone(spec4, config, noise, halts):
     ]
     if halts is not None:
         assert [r.generations_run for r in together] == halts
+
+
+def _state(gen):
+    """A bit generator's full state, arrays as lists, comparable with ==."""
+    return json.loads(json.dumps(gen.bit_generator.state, default=lambda a: a.tolist()))
+
+
+def _with_buffer(gen, words, used):
+    """Make ``words`` the next raw words of a Philox ``gen``, from slot ``used`` on."""
+    state = gen.bit_generator.state
+    state["buffer"] = np.array(words, dtype=np.uint64)
+    state["buffer_pos"] = used
+    gen.bit_generator.state = state
+
+
+def _coin_edges(probability):
+    """Raw words just below and at the edge of ``random() < probability``."""
+    edge = math.ceil(probability * 2**53)
+    return [max(edge - 1, 0) << 11, min(edge << 11, 2**64 - 1)]
+
+
+PROBABILITIES = [0.0, 0.3, 0.8, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_offspring_is_bitwise_the_per_child_loop(data):
+    population = data.draw(st.integers(2, 64), label="population")
+    config = GaConfig(
+        population_size=population,
+        parents_mating=data.draw(st.integers(2, population), label="parents"),
+        keep_elitism=data.draw(st.integers(0, population), label="elites"),
+        crossover_probability=data.draw(st.sampled_from(PROBABILITIES), label="crossover"),
+        mutation_probability=data.draw(st.sampled_from(PROBABILITIES), label="mutation"),
+    )
+    length = data.draw(st.sampled_from([1, 2, 3, 5, 80]), label="L")
+    mutated_genes = data.draw(st.sampled_from([0, 1, 2, 3, length]), label="mutated_genes")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    # the first raw words may sit on a coin's or the mask's edge, or be 0 (a redrawn bounded draw)
+    edges = _coin_edges(config.crossover_probability) + _coin_edges(config.mutation_probability) + [0, 2**63]
+    word = st.sampled_from(edges) | st.integers(0, 2**64 - 1)
+    words = data.draw(st.lists(word, min_size=4, max_size=4), label="buffer")
+    used = data.draw(st.integers(0, 4), label="buffer_pos")
+    odd_half = data.draw(st.booleans(), label="odd_half")
+    # small blocks split the children into runs, some of them by the loop
+    block_words = data.draw(st.sampled_from([1, 40, 300, ga._BLOCK_WORDS]), label="block_words")
+
+    rows = np.random.default_rng(seed)
+    genes = rows.integers(0, 6, size=(population, length))
+    fit = rows.integers(0, 4, size=population) / 4  # ties included
+    gens = []
+    for _ in range(2):
+        g = RandomStream(seed).generator()
+        _with_buffer(g, words, used)
+        if odd_half:
+            g.integers(0, 3)
+        gens.append(g)
+    with mock.patch.object(ga, "_BLOCK_WORDS", block_words):
+        elites, children = _offspring(config, genes, fit, mutated_genes, gens[0])
+    want_elites, want_children = offspring_oracle(config, genes, fit, mutated_genes, gens[1])
+    np.testing.assert_array_equal(elites, want_elites)
+    assert children.dtype == want_children.dtype and children.shape == want_children.shape
+    np.testing.assert_array_equal(children, want_children)
+    assert _state(gens[0]) == _state(gens[1])
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["below", "at"])
+@pytest.mark.parametrize("coin", ["crossover", "mutation"])
+@pytest.mark.parametrize("probability", PROBABILITIES)
+def test_offspring_reads_a_coin_on_its_edge_as_the_loop_does(probability, coin, side):
+    # one child of a pool of 3 with 5 genes and one swap: its second raw word
+    # is the crossover coin, the next two its first mask variates (on either
+    # side of 1/2); with crossover off, the third word is the mutation coin
+    edge = _coin_edges(probability)[side]
+    parents, swap = 0xDEADBEEF12345678, 0x0000000300000001
+    one_child = GaConfig(population_size=4, parents_mating=3, keep_elitism=3)
+    if coin == "crossover":
+        config = dataclasses.replace(one_child, crossover_probability=probability, mutation_probability=0.0)
+        words = [parents, edge, 2**63 - 1, 2**63]
+    else:
+        config = dataclasses.replace(one_child, crossover_probability=0.0, mutation_probability=probability)
+        words = [parents, 2**64 - 1, edge, swap]
+    genes, fit = np.arange(20).reshape(4, 5), np.arange(4.0)
+    gens = []
+    for _ in range(2):
+        g = RandomStream(9).generator()
+        _with_buffer(g, words, 0)
+        gens.append(g)
+    _, children = _offspring(config, genes, fit, 2, gens[0])
+    _, want = offspring_oracle(config, genes, fit, 2, gens[1])
+    np.testing.assert_array_equal(children, want)
+    assert _state(gens[0]) == _state(gens[1])
+
+
+@pytest.mark.parametrize(
+    "first_words, loop_calls",
+    [
+        ([0, 2**64 - 1, 0, 0], 1),  # low half 0: the first parent index is redrawn
+        ([0xDEADBEEF12345678, 2**64 - 1, 0, 0xFFFF00000000], 1),  # low half 0: a swap index is redrawn
+        ([0xDEADBEEF12345678, 2**64 - 1, 0, 0xFFFF00000001], 0),  # nothing redrawn
+    ],
+    ids=["parent", "swap", "none"],
+)
+def test_offspring_takes_the_loop_exactly_where_a_draw_is_rejected(monkeypatch, first_words, loop_calls):
+    # a pool of 3 and 5 genes: numpy redraws a 32-bit draw of 0 for bounds 3 and 5
+    config = GaConfig(
+        population_size=8, parents_mating=3, keep_elitism=5, crossover_probability=0.0, mutation_probability=1.0
+    )
+    rows = np.random.default_rng(1)
+    genes, fit = rows.integers(0, 6, size=(8, 5)), rows.random(8)
+    calls = []
+    children_loop = ga._children_loop
+
+    def loop(*args):
+        calls.append(args)
+        return children_loop(*args)
+
+    monkeypatch.setattr(ga, "_children_loop", loop)
+    gens = []
+    for _ in range(2):
+        g = RandomStream(5).generator()
+        _with_buffer(g, first_words, 0)
+        gens.append(g)
+    elites, children = _offspring(config, genes, fit, 2, gens[0])
+    want_elites, want_children = offspring_oracle(config, genes, fit, 2, gens[1])
+    assert len(calls) == loop_calls
+    np.testing.assert_array_equal(elites, want_elites)
+    np.testing.assert_array_equal(children, want_children)
+    assert _state(gens[0]) == _state(gens[1])
+
+
+NUMPY_CHANGED = (
+    "numpy's Generator no longer draws as ga._children_from_words assumes, "
+    "so the bulk offspring would no longer be the per-child loop's"
+)
+
+
+def test_numpy_draws_as_the_bulk_offspring_assumes():
+    key = np.array([2024, 7], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    raw = np.random.Philox(key=key)  # the same words, read one at a time
+
+    # random() is the top 53 bits of one raw word
+    for _ in range(100):
+        assert gen.random() == (int(raw.random_raw()) >> 11) * 2**-53, NUMPY_CHANGED
+
+    # integers(0, k) is Lemire's multiply-shift on next_uint32, which hands
+    # out the low, then the high half of a fresh word; at k = 2**31 + 1 about
+    # half of the draws are redrawn
+    k = 2**31 + 1
+    halves = []
+    redrawn = 0
+    for _ in range(200):
+        while True:
+            if not halves:
+                word = int(raw.random_raw())
+                halves = [word & 0xFFFFFFFF, word >> 32]
+            m = halves.pop(0) * k
+            if m & 0xFFFFFFFF >= (2**32 - k) % k:
+                break
+            redrawn += 1
+        assert gen.integers(0, k) == m >> 32, NUMPY_CHANGED
+    assert 50 < redrawn < 350
+
+    # the high half of the first word stays pending through random(),
+    # random_raw and a bound of 1, until the next 32-bit draw spends it
+    gen = np.random.Generator(np.random.Philox(key=key))
+    gen.integers(0, 3)
+    high = int(np.random.Philox(key=key).random_raw()) >> 32
+    gen.random()
+    gen.bit_generator.random_raw()
+    gen.integers(0, 1)
+    state = gen.bit_generator.state
+    assert (state["has_uint32"], state["uinteger"]) == (1, high), NUMPY_CHANGED
+    gen.integers(0, 3)
+    assert gen.bit_generator.state["has_uint32"] == 0, NUMPY_CHANGED
