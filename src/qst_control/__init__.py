@@ -19,7 +19,6 @@ from .chain import (
     free_peak,
     free_transfer_probability,
     step_propagator,
-    transmission_probability,
 )
 from .actions import Action, ActionSet, PropagatorCache, build_cache, site_by_site_set, zhang16_set
 from .noise import NoiseModel, sample_noise_gate
@@ -44,7 +43,6 @@ __all__ = [
     "sample_noise_gate",
     "site_by_site_set",
     "step_propagator",
-    "transmission_probability",
     "zhang16_set",
 ]
 

@@ -158,10 +158,6 @@ class PropagatorCache:
         return len(self.action_set)
 
     @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
     def dt(self) -> float:
         return self.spec.dt
 

@@ -30,7 +30,7 @@ The figure of merit is the transmission probability ``P = |<n-1|psi>|^2``
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -138,11 +138,6 @@ def step_propagator(h_matrix: np.ndarray, tau: float) -> np.ndarray:
     return u
 
 
-def transmission_probability(state: np.ndarray) -> float:
-    """Probability of finding the excitation on the last site."""
-    return float(np.abs(state[-1]) ** 2)
-
-
 def averaged_fidelity(p):
     """Transfer fidelity averaged over input states, f = p/6 + sqrt(p)/3 + 1/2.
 
@@ -170,7 +165,6 @@ class Trajectory:
 
     probabilities: np.ndarray
     dt: float
-    states: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -274,11 +268,9 @@ class Rollouts:
 
     actions: np.ndarray
     probabilities: np.ndarray
-    states: np.ndarray | None = field(default=None, repr=False)
 
     def trajectory(self, run: int, dt: float) -> Trajectory:
-        states = None if self.states is None else self.states[run]
-        return Trajectory(probabilities=self.probabilities[run], dt=dt, states=states)
+        return Trajectory(probabilities=self.probabilities[run], dt=dt)
 
 
 def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, col, tags=None) -> np.ndarray:
@@ -327,7 +319,6 @@ def evolve_lockstep(
     n_steps: int,
     noise: NoiseModel | list[NoiseModel] | None = None,
     rngs=None,
-    record_states: bool = False,
     tags=None,
 ) -> Rollouts:
     """Step R runs of the chain together, one control step at a time.
@@ -339,7 +330,8 @@ def evolve_lockstep(
     actions:
         Either a fixed schedule, an (L,) array shared by every run or an
         (R, L) array with one row per run, or a policy: a callable mapping
-        the current (R, n) states to R action ids.
+        the current (R, n) states to R action ids.  Later steps may
+        overwrite that array, so a policy that keeps it keeps a copy.
     n_steps:
         Control steps L.
     noise, rngs:
@@ -347,8 +339,6 @@ def evolve_lockstep(
         per run, and one RandomStream per run, or their (R, 2) keys
         (:meth:`RandomStream.substream_keys`).  Run r's realization depends
         on ``rngs[r]`` and its own model alone; see :class:`_NoiseWalk`.
-    record_states:
-        Keep every run's state after every step, shape (R, L, n).
     tags:
         Optional (R,) nonnegative ints: stacked batches, each stepped bit
         for bit as alone.  Under a shared (L,) schedule only a one-row
@@ -398,7 +388,6 @@ def evolve_lockstep(
     else:
         taken = np.empty((n_runs, n_steps), dtype=np.int64)
     probs = np.empty((n_runs, n_steps))
-    trail = np.empty((n_runs, n_steps, n), dtype=complex) if record_states else None
     for t in range(n_steps):
         if policy is None:
             col = actions[..., t]
@@ -408,9 +397,7 @@ def evolve_lockstep(
         if walk is not None:
             walk.apply(states)
         probs[:, t] = np.abs(states[:, -1]) ** 2
-        if trail is not None:
-            trail[:, t] = states
-    return Rollouts(actions=taken, probabilities=probs, states=trail)
+    return Rollouts(actions=taken, probabilities=probs)
 
 
 def evolve_sequence(
@@ -418,7 +405,6 @@ def evolve_sequence(
     cache,
     noise: NoiseModel | None = None,
     rng: RandomStream | None = None,
-    record_states: bool = False,
 ) -> Trajectory:
     """Evolve the excitation through one control sequence.
 
@@ -439,14 +425,12 @@ def evolve_sequence(
         Randomness source, required when ``noise`` is given.  The stream is
         opened once at the start of the trajectory, so the whole
         realization is a pure function of it.
-    record_states:
-        Keep the state vector after every step (for inspection/plots).
     """
     sequence = np.asarray(sequence, dtype=np.int64)
     if sequence.ndim != 1:
         raise ValueError(f"sequence must be one-dimensional, got shape {sequence.shape}")
     rngs = None if noise is None or rng is None else [rng]
-    run = evolve_lockstep(cache.unitaries, sequence, len(sequence), noise, rngs, record_states)
+    run = evolve_lockstep(cache.unitaries, sequence, len(sequence), noise, rngs)
     return run.trajectory(0, cache.dt)
 
 
@@ -471,7 +455,7 @@ def _free_propagator(spec: ChainSpec, tau: float) -> np.ndarray:
     return step_propagator(build_step_hamiltonian(spec, fields), tau)
 
 
-def free_evolution_baseline(spec: ChainSpec, n_steps: int | None = None, record_states: bool = False) -> Trajectory:
+def free_evolution_baseline(spec: ChainSpec, n_steps: int | None = None) -> Trajectory:
     """Trajectory of the uncontrolled chain, sampled on the step grid.
 
     Identical to evolving the all-zero action sequence without noise.
@@ -482,7 +466,7 @@ def free_evolution_baseline(spec: ChainSpec, n_steps: int | None = None, record_
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     u_free = _free_propagator(spec, spec.dt)[None, :, :]
     sequence = np.zeros(n_steps, dtype=np.int64)
-    return evolve_lockstep(u_free, sequence, n_steps, record_states=record_states).trajectory(0, spec.dt)
+    return evolve_lockstep(u_free, sequence, n_steps).trajectory(0, spec.dt)
 
 
 def free_transfer_probability(spec: ChainSpec, t):

@@ -35,7 +35,10 @@ from .harness import (
 from .reporting import environment_versions, write_csv, write_json, write_manifest
 from .rng import RandomStream
 
-_WORKERS_HELP = "threads for lengths, sweep cells and HPO trials; histogram's lock-step chunk; ignored by validate"
+_WORKERS_HELP = (
+    "threads for scaling lengths, sweep cells and HPO trials; histogram's lock-step chunk; "
+    "ignored by the single-run modes ga, dqn-train, validate and baseline"
+)
 
 # substream tags for the controller-design runs inside `validate`
 _TAG_DESIGN_GA = 100
@@ -81,27 +84,9 @@ def _chain_objects(config: ExperimentConfig):
     return spec, action_set
 
 
-def _finish(config: ExperimentConfig, artifacts: dict, extra_meta: dict, t0: float) -> None:
-    out_dir = Path(config.output_dir)
-    meta = {
-        "mode": config.mode,
-        "seed": config.seed,
-        "config": config.resolved,
-        "versions": environment_versions(),
-        "wall_time": time.perf_counter() - t0,
-        **extra_meta,
-    }
-    manifest = write_manifest(out_dir, artifacts, meta)
-    for name in sorted(artifacts):
-        print(f"wrote {artifacts[name]}")
-    print(f"wrote {manifest}")
-
-
-def _run_ga(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _run_ga(config: ExperimentConfig, out: Path):
     spec, action_set = _chain_objects(config)
     record = run_ga(config.ga, action_set, spec, seed=RandomStream(config.seed))
-    out = Path(config.output_dir)
     rows = [
         (g + 1, record.best_fitness_per_generation[g], record.mean_fitness_per_generation[g])
         for g in range(record.generations_run)
@@ -124,15 +109,12 @@ def _run_ga(config: ExperimentConfig) -> int:
         f"ga: n={spec.n} best={record.best_chromosome.fitness!r} "
         f"({record.halt_reason.value} after {record.generations_run} generations)"
     )
-    _finish(config, {"ga_generations": curves, "best_sequence": best}, {}, t0)
-    return 0
+    return {"ga_generations": curves, "best_sequence": best}, {}
 
 
-def _run_dqn_train(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _run_dqn_train(config: ExperimentConfig, out: Path):
     spec, action_set = _chain_objects(config)
     record = train(config.dqn, action_set, spec, seed=RandomStream(config.seed))
-    out = Path(config.output_dir)
     rows = [
         (
             ep,
@@ -160,21 +142,13 @@ def _run_dqn_train(config: ExperimentConfig) -> int:
         f"dqn-train: n={spec.n} best={record.best_probability!r} "
         f"(episode {record.best_episode}, {record.learn_events} learning events)"
     )
-    _finish(
-        config,
-        {"dqn_episodes": episodes, "best_sequence": best, "qnetwork": out / "qnetwork.npz"},
-        {},
-        t0,
-    )
-    return 0
+    return {"dqn_episodes": episodes, "best_sequence": best, "qnetwork": out / "qnetwork.npz"}, {}
 
 
-def _run_validate(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _run_validate(config: ExperimentConfig, out: Path):
     spec, action_set = _chain_objects(config)
     cache = build_cache(action_set, spec)
     stream = RandomStream(config.seed)
-    out = Path(config.output_dir)
     artifacts = {}
     meta = {"controller": config.validate.controller}
     if config.validate.controller == "ga":
@@ -218,12 +192,10 @@ def _run_validate(config: ExperimentConfig) -> int:
         f"validate[{config.validate.controller}]: clean cell mean={clean.mean_max_probability!r}, "
         f"{len(report.cells)} cells x {config.validate.runs} runs"
     )
-    _finish(config, artifacts, meta, t0)
-    return 0
+    return artifacts, meta
 
 
-def _run_sweep(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _run_sweep(config: ExperimentConfig, out: Path):
     result = sweep_h_dt(
         config.chain.n,
         config.ga,
@@ -235,18 +207,16 @@ def _run_sweep(config: ExperimentConfig) -> int:
     )
     rows = [(c.h, c.dt, c.max_probability, c.halt_reason, c.generations) for c in result.cells]
     path = write_csv(
-        Path(config.output_dir) / "sweep.csv",
+        out / "sweep.csv",
         ("h", "dt", "max_probability", "halt_reason", "generations"),
         rows,
     )
     best = max(result.cells, key=lambda c: c.max_probability)
     print(f"sweep: best cell h={best.h!r} dt={best.dt!r} max_probability={best.max_probability!r}")
-    _finish(config, {"sweep": path}, {}, t0)
-    return 0
+    return {"sweep": path}, {}
 
 
-def _run_histogram(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _run_histogram(config: ExperimentConfig, out: Path):
     hist = action_histogram(
         config.ga,
         config.action_set_kind,
@@ -256,9 +226,7 @@ def _run_histogram(config: ExperimentConfig) -> int:
         workers=config.workers,
     )
     rows = [(a, int(hist.counts[a]), hist.frequencies[a]) for a in range(hist.n_actions)]
-    path = write_csv(
-        Path(config.output_dir) / "action_histogram.csv", ("action_id", "count", "frequency"), rows
-    )
+    path = write_csv(out / "action_histogram.csv", ("action_id", "count", "frequency"), rows)
     meta = {
         "n_sequences": hist.n_sequences,
         "n_runs_used": hist.n_runs_used,
@@ -269,25 +237,19 @@ def _run_histogram(config: ExperimentConfig) -> int:
         f"histogram: {hist.n_sequences}/{config.histogram.n_sequences} sequences "
         f"from {hist.n_runs_used} runs"
     )
-    _finish(config, {"action_histogram": path}, meta, t0)
-    if not hist.complete:
-        print(
-            json.dumps(
-                {
-                    "status": "partial",
-                    "collected": hist.n_sequences,
-                    "requested": config.histogram.n_sequences,
-                    "max_runs": config.histogram.max_runs,
-                }
-            ),
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    if hist.complete:
+        return {"action_histogram": path}, meta
+    partial = {
+        "status": "partial",
+        "collected": hist.n_sequences,
+        "requested": config.histogram.n_sequences,
+        "max_runs": config.histogram.max_runs,
+    }
+    print(json.dumps(partial), file=sys.stderr)
+    return {"action_histogram": path}, meta, 3
 
 
-def _run_scaling(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _run_scaling(config: ExperimentConfig, out: Path):
     summary = scaling_study(
         config.ga,
         config.action_set_kind,
@@ -300,12 +262,12 @@ def _run_scaling(config: ExperimentConfig) -> int:
         (r.n, r.best, r.mean, r.std, len(r.per_seed), r.best_fidelity) for r in summary.rows
     ]
     path = write_csv(
-        Path(config.output_dir) / "scaling.csv",
+        out / "scaling.csv",
         ("n", "best_max_probability", "mean_max_probability", "std_max_probability", "n_seeds", "best_fidelity"),
         rows,
     )
     per_seed = write_json(
-        Path(config.output_dir) / "scaling_runs.json",
+        out / "scaling_runs.json",
         {
             str(r.n): {
                 "per_seed": r.per_seed,
@@ -318,21 +280,19 @@ def _run_scaling(config: ExperimentConfig) -> int:
     )
     for r in summary.rows:
         print(f"scaling: n={r.n} best={r.best!r} mean={r.mean!r} std={r.std!r}")
-    _finish(config, {"scaling": path, "scaling_runs": per_seed}, {}, t0)
-    return 0
+    return {"scaling": path, "scaling_runs": per_seed}, {}
 
 
-def _run_baseline(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _run_baseline(config: ExperimentConfig, out: Path):
     spec = config.chain
     traj = free_evolution_baseline(spec, config.baseline.n_steps)
     rows = [
         (j, (j + 1) * spec.dt, traj.probabilities[j]) for j in range(traj.n_steps)
     ]
-    path = write_csv(Path(config.output_dir) / "baseline.csv", ("step", "time", "probability"), rows)
+    path = write_csv(out / "baseline.csv", ("step", "time", "probability"), rows)
     t_peak, p_peak = free_peak(spec)
     peak = write_json(
-        Path(config.output_dir) / "baseline_peak.json",
+        out / "baseline_peak.json",
         {
             "t_peak": t_peak,
             "p_peak": p_peak,
@@ -342,12 +302,10 @@ def _run_baseline(config: ExperimentConfig) -> int:
         },
     )
     print(f"baseline: n={spec.n} grid max={traj.max_probability!r}, continuous peak={p_peak!r} at t={t_peak!r}")
-    _finish(config, {"baseline": path, "baseline_peak": peak}, {}, t0)
-    return 0
+    return {"baseline": path, "baseline_peak": peak}, {}
 
 
-def _run_hpo(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _run_hpo(config: ExperimentConfig, out: Path):
     result = hyperparameter_search(
         config.dqn,
         config.action_set_kind,
@@ -360,12 +318,12 @@ def _run_hpo(config: ExperimentConfig) -> int:
         (t.index, t.gamma, t.learning_rate, t.hidden1, t.score, t.train_best) for t in result.trials
     ]
     trials = write_csv(
-        Path(config.output_dir) / "hpo_trials.csv",
+        out / "hpo_trials.csv",
         ("trial", "gamma", "learning_rate", "hidden1", "score", "train_best"),
         rows,
     )
     best = write_json(
-        Path(config.output_dir) / "hpo_best.json",
+        out / "hpo_best.json",
         {
             "trial": result.best.index,
             "gamma": result.best.gamma,
@@ -379,15 +337,11 @@ def _run_hpo(config: ExperimentConfig) -> int:
         f"hpo: best trial {result.best.index} score={result.best.score!r} "
         f"(gamma={result.best.gamma!r}, lr={result.best.learning_rate!r}, hidden1={result.best.hidden1})"
     )
-    _finish(config, {"hpo_trials": trials, "hpo_best": best}, {}, t0)
-    return 0
+    return {"hpo_trials": trials, "hpo_best": best}, {}
 
 
-def _run_describe(config: ExperimentConfig) -> int:
-    print(describe(config), end="")
-    return 0
-
-
+# each runner writes its files, prints its summary line and returns its
+# artifacts and extra manifest fields, then an exit code if it is not 0
 _RUNNERS = {
     "ga": _run_ga,
     "dqn-train": _run_dqn_train,
@@ -397,7 +351,6 @@ _RUNNERS = {
     "scaling": _run_scaling,
     "baseline": _run_baseline,
     "hpo": _run_hpo,
-    "describe": _run_describe,
 }
 
 
@@ -412,7 +365,25 @@ def main(argv=None) -> int:
             output_dir=args.out,
             workers=args.workers,
         )
-        return _RUNNERS[args.mode](config)
+        if args.mode == "describe":
+            print(describe(config), end="")
+            return 0
+        t0 = time.perf_counter()
+        out = Path(config.output_dir)
+        artifacts, meta, *code = _RUNNERS[args.mode](config, out)
+        meta = {
+            "mode": config.mode,
+            "seed": config.seed,
+            "config": config.resolved,
+            "versions": environment_versions(),
+            "wall_time": time.perf_counter() - t0,
+            **meta,
+        }
+        manifest = write_manifest(out, artifacts, meta)
+        for name in sorted(artifacts):
+            print(f"wrote {artifacts[name]}")
+        print(f"wrote {manifest}")
+        return code[0] if code else 0
     except ConfigError as exc:
         print(json.dumps({"error": "config", "path": exc.path, "message": str(exc)}), file=sys.stderr)
         return 2

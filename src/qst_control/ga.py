@@ -69,7 +69,6 @@ class GaConfig(Checked):
     mutation_probability: float = bounded(0.99, UNIT)
     mutated_genes: int | None = bounded(None, Range(0))
     target_probability: float = bounded(0.99, UNIT)
-    n_seeds: int = bounded(30, COUNT)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -111,12 +110,11 @@ def init_population(
     config: GaConfig,
     action_set: ActionSet,
     n_steps: int,
-    rng: "RandomStream | np.random.Generator",
+    gen: np.random.Generator,
 ) -> Population:
     """Uniform random population of action sequences."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be positive, got {n_steps}")
-    gen = rng.generator() if isinstance(rng, RandomStream) else rng
     genes = gen.integers(0, len(action_set), size=(config.population_size, n_steps), dtype=np.int64)
     return Population(genes=genes)
 
@@ -324,12 +322,12 @@ def _children_from_words(config: GaConfig, pool, out, n_swaps: int, gen):
     one word.  The loop runs instead when a half-word is pending, when any
     bounded draw in the block would be rejected, when a bound of 1 could
     occur (a pool of 2 or L == 2; with L == 1 nothing ever swaps, so the
-    loop takes that case too), or when the bit generator is not Philox.
+    loop takes that case too).
     """
     bit_gen = gen.bit_generator
     n_pool, length = pool.shape
     n_children = len(out)
-    if not isinstance(bit_gen, np.random.Philox) or n_pool == 2 or length < 3:
+    if n_pool == 2 or length < 3:
         return None
     state = bit_gen.state
     if state["has_uint32"]:

@@ -179,12 +179,10 @@ def multi_seed_ga(
     set_kind: str,
     base_spec: ChainSpec,
     stream: RandomStream,
-    n_seeds: int | None = None,
+    n_seeds: int,
     workers: int = 1,
 ) -> MultiSeedSummary:
     """Independent optimizer runs per chain length, summarized over seeds."""
-    if n_seeds is None:
-        n_seeds = config.n_seeds
     return _ga_seed_matrix(
         TAG_MULTI_SEED, lengths, config, set_kind, base_spec, stream, n_seeds, workers
     )

@@ -145,12 +145,9 @@ class QNetwork:
                 np.multiply(g, acts[li] > 0.0, out=g)
         return loss, grads
 
-    def apply_gradients(self, grads, learning_rate: float) -> None:
-        """Plain SGD, ``params -= learning_rate * grads``: ``grads`` is what
-        :meth:`loss_and_gradients` returns or a (weight_grads, bias_grads)
-        pair of per-layer lists."""
-        flat = grads.flat if isinstance(grads, Gradients) else _flatten(*grads)
-        self.params -= learning_rate * flat
+    def apply_gradients(self, grads: Gradients, learning_rate: float) -> None:
+        """Plain SGD on what :meth:`loss_and_gradients` returned: ``params -= learning_rate * grads``."""
+        self.params -= learning_rate * grads.flat
 
     # ------------------------------------------------------------- copies
 

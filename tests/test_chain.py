@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qst_control
 from oracles import pauli_block_hamiltonian, propagator_oracle
 from qst_control import (
     ChainSpec,
@@ -22,9 +23,27 @@ from qst_control import (
     free_transfer_probability,
     site_by_site_set,
     step_propagator,
-    transmission_probability,
 )
 from qst_control.chain import evolve_lockstep
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks `from qst_control import *`
+    missing = [name for name in qst_control.__all__ if not hasattr(qst_control, name)]
+    assert missing == []
+
+
+def incoming_states(cache, sequence, noise=None, rng=None):
+    """The state entering each step of one run, read by a policy, and the run's probabilities."""
+    seen = []
+
+    def policy(states):
+        seen.append(states[0].copy())  # a later step may overwrite the array
+        return sequence[len(seen) - 1 : len(seen)]
+
+    rngs = None if rng is None else [rng]
+    run = evolve_lockstep(cache.unitaries, policy, len(sequence), noise, rngs)
+    return np.array(seen), run.probabilities[0]
 
 
 # ---------------------------------------------------------------- ChainSpec
@@ -143,12 +162,6 @@ def test_propagator_accepts_complex_hermitian():
 # ------------------------------------------------------- scalar observables
 
 
-def test_transmission_probability_examples():
-    assert transmission_probability(np.array([0, 0, 1.0 + 0j])) == 1.0
-    amp = 1 / math.sqrt(2)
-    assert transmission_probability(np.array([amp, 0, 1j * amp])) == pytest.approx(0.5, abs=1e-15)
-
-
 def test_averaged_fidelity_reference_points():
     assert averaged_fidelity(1.0) == 1.0
     assert averaged_fidelity(0.0) == 0.5
@@ -244,10 +257,11 @@ def test_free_baseline_equals_zero_sequence(cache4, spec4):
 def test_evolve_sequence_norm_preserved(cache4):
     rng = np.random.default_rng(3)
     seq = rng.integers(0, len(cache4), size=30)
-    traj = evolve_sequence(seq, cache4, record_states=True)
-    norms = np.linalg.norm(traj.states, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(traj.states[:, -1]) ** 2, traj.probabilities, atol=1e-15)
+    # one step more than the sequence, so the last state entering a step is its final state
+    states, probs = incoming_states(cache4, np.append(seq, 0))
+    np.testing.assert_array_equal(probs[:-1], evolve_sequence(seq, cache4).probabilities)
+    np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(states[1:, -1]) ** 2, probs[:-1], atol=1e-15)
 
 
 def test_evolve_sequence_matches_on_the_fly_exponentials(cache4, spec4):
@@ -314,12 +328,14 @@ def test_noise_gate_preserves_site_populations(cache4):
     # the unitary, so a gate right before readout must not move P
     seq = np.array([2, 1, 3, 0, 4, 2, 1, 0, 3, 4])
     noise = NoiseModel(p=1.0, delta=1.5)
-    noisy = evolve_sequence(seq, cache4, noise=noise, rng=RandomStream(8), record_states=True)
-    clean = evolve_sequence(seq, cache4, record_states=True)
-    np.testing.assert_allclose(np.abs(noisy.states[0]), np.abs(clean.states[0]), atol=1e-12)
-    assert noisy.probabilities[0] == pytest.approx(clean.probabilities[0], abs=1e-12)
+    noisy, noisy_p = incoming_states(cache4, seq, noise, RandomStream(8))
+    clean, clean_p = incoming_states(cache4, seq)
+    np.testing.assert_array_equal(noisy_p, evolve_sequence(seq, cache4, noise=noise, rng=RandomStream(8)).probabilities)
+    # row 1 is the state after step 0 and its gate
+    np.testing.assert_allclose(np.abs(noisy[1]), np.abs(clean[1]), atol=1e-12)
+    assert noisy_p[0] == pytest.approx(clean_p[0], abs=1e-12)
     # but later steps diverge because coherences were scrambled
-    assert not np.allclose(noisy.probabilities[1:], clean.probabilities[1:])
+    assert not np.allclose(noisy_p[1:], clean_p[1:])
 
 
 # ------------------------------------------------------- batched evolution

@@ -38,6 +38,43 @@ TINY_DQN = TINY_CHAIN + [
 ]
 
 
+VALIDATE_SETS = [
+    "--set", "validate.runs=8",
+    "--set", "validate.p_values=[0.0, 0.25]",
+    "--set", "validate.delta_values=[0.25]",
+]
+SWEEP_SETS = ["--set", "sweep.h_values=[50.0]", "--set", "sweep.dt_values=[0.5, 0.75]"]
+SCALING_SETS = ["--set", "scaling.lengths=[3, 4]", "--set", "scaling.n_seeds=2"]
+HISTOGRAM_COMPLETE = [
+    "--set", "histogram.n_sequences=6",
+    "--set", "histogram.threshold=0.0",
+    "--set", "histogram.max_runs=4",
+]
+HISTOGRAM_PARTIAL = [
+    "--set", "histogram.n_sequences=5",
+    "--set", "histogram.threshold=1.0",
+    "--set", "histogram.max_runs=2",
+]
+HPO_SETS = [
+    "--set", "hpo.trials=2",
+    "--set", "hpo.val_runs=2",
+    "--set", "hpo.hidden1=[8, 12]",
+]
+
+# every artifact-writing run: its arguments, artifact names and exit code
+ARTIFACT_RUNS = {
+    "ga": (["ga"] + TINY_GA, {"ga_generations", "best_sequence"}, 0),
+    "dqn-train": (["dqn-train"] + TINY_DQN, {"dqn_episodes", "best_sequence", "qnetwork"}, 0),
+    "validate": (["validate"] + TINY_GA + VALIDATE_SETS, {"controller", "validation"}, 0),
+    "sweep": (["sweep"] + TINY_GA + SWEEP_SETS, {"sweep"}, 0),
+    "histogram": (["histogram"] + TINY_GA + HISTOGRAM_COMPLETE, {"action_histogram"}, 0),
+    "histogram-partial": (["histogram"] + TINY_GA + HISTOGRAM_PARTIAL, {"action_histogram"}, 3),
+    "scaling": (["scaling"] + TINY_GA + SCALING_SETS, {"scaling", "scaling_runs"}, 0),
+    "baseline": (["baseline", "--set", "chain.n=4"], {"baseline", "baseline_peak"}, 0),
+    "hpo": (["hpo"] + TINY_DQN + HPO_SETS, {"hpo_trials", "hpo_best"}, 0),
+}
+
+
 def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
@@ -47,12 +84,31 @@ def csv_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_baseline_artifacts_and_manifest_hashes(tmp_path, capsys):
+@pytest.mark.parametrize("run", list(ARTIFACT_RUNS))
+def test_baseline_artifacts_and_manifest_hashes(run, tmp_path, capsys):
+    args, names, code = ARTIFACT_RUNS[run]
     out = tmp_path / "out"
-    rc = main(["baseline", "--set", "chain.n=4", "--out", str(out)])
-    assert rc == 0
-    assert "wrote" in capsys.readouterr().out
+    assert main(args + ["--out", str(out)]) == code
+    manifest = read_manifest(out)
+    assert set(manifest) >= {"mode", "seed", "config", "versions", "wall_time", "artifacts"}
+    assert manifest["mode"] == args[0]
+    assert manifest["seed"] == 0
+    assert manifest["wall_time"] > 0.0
+    assert "numpy" in manifest["versions"]
+    assert set(manifest["artifacts"]) == names
+    for entry in manifest["artifacts"].values():
+        blob = (out / entry["path"]).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+        assert len(blob) == entry["bytes"]
+    # after the summary, one line per artifact in name order, then the manifest
+    wrote = [f"wrote {out / manifest['artifacts'][name]['path']}" for name in sorted(names)]
+    wrote.append(f"wrote {out / 'manifest.json'}")
+    assert capsys.readouterr().out.splitlines()[-len(wrote) :] == wrote
 
+
+def test_baseline_rows_and_peak(tmp_path):
+    out = tmp_path / "out"
+    assert main(["baseline", "--set", "chain.n=4", "--out", str(out)]) == 0
     rows = csv_rows(out / "baseline.csv")
     assert len(rows) == 20  # ceil(0.75*4/0.15) free-evolution steps
     assert rows[0]["step"] == "0"
@@ -63,17 +119,7 @@ def test_baseline_artifacts_and_manifest_hashes(tmp_path, capsys):
     assert peak["t_peak"] == pytest.approx(1.4049629426311594, rel=1e-9)
     assert peak["grid_max_probability"] == pytest.approx(0.9611265768684443, rel=1e-9)
 
-    manifest = read_manifest(out)
-    assert manifest["mode"] == "baseline"
-    assert manifest["seed"] == 0
-    assert manifest["config"]["chain"]["n"] == 4
-    assert set(manifest["artifacts"]) == {"baseline", "baseline_peak"}
-    for entry in manifest["artifacts"].values():
-        blob = (out / entry["path"]).read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
-        assert len(blob) == entry["bytes"]
-    assert manifest["wall_time"] > 0.0
-    assert "numpy" in manifest["versions"]
+    assert read_manifest(out)["config"]["chain"]["n"] == 4
 
 
 def test_ga_run_artifacts(tmp_path):
@@ -126,13 +172,6 @@ def test_dqn_train_artifacts(tmp_path):
     assert set(read_manifest(out)["artifacts"]) == {"dqn_episodes", "best_sequence", "qnetwork"}
 
 
-VALIDATE_SETS = [
-    "--set", "validate.runs=8",
-    "--set", "validate.p_values=[0.0, 0.25]",
-    "--set", "validate.delta_values=[0.25]",
-]
-
-
 def test_validate_ga_worker_invariance(tmp_path):
     outs = [tmp_path / "w1", tmp_path / "w4"]
     for out, workers in zip(outs, ("1", "4")):
@@ -167,11 +206,7 @@ def test_validate_dqn_controller(tmp_path):
 
 def test_sweep_cli(tmp_path):
     out = tmp_path / "out"
-    rc = main(
-        ["sweep", "--out", str(out)]
-        + TINY_GA
-        + ["--set", "sweep.h_values=[50.0]", "--set", "sweep.dt_values=[0.5, 0.75]"]
-    )
+    rc = main(["sweep", "--out", str(out)] + TINY_GA + SWEEP_SETS)
     assert rc == 0
     rows = csv_rows(out / "sweep.csv")
     assert [(r["h"], r["dt"]) for r in rows] == [("50.0", "0.5"), ("50.0", "0.75")]
@@ -179,11 +214,7 @@ def test_sweep_cli(tmp_path):
 
 def test_scaling_cli(tmp_path):
     out = tmp_path / "out"
-    rc = main(
-        ["scaling", "--out", str(out)]
-        + TINY_GA
-        + ["--set", "scaling.lengths=[3, 4]", "--set", "scaling.n_seeds=2"]
-    )
+    rc = main(["scaling", "--out", str(out)] + TINY_GA + SCALING_SETS)
     assert rc == 0
     rows = csv_rows(out / "scaling.csv")
     assert [r["n"] for r in rows] == ["3", "4"]
@@ -196,15 +227,7 @@ def test_scaling_cli(tmp_path):
 
 def test_histogram_complete(tmp_path):
     out = tmp_path / "out"
-    rc = main(
-        ["histogram", "--out", str(out)]
-        + TINY_GA
-        + [
-            "--set", "histogram.n_sequences=6",
-            "--set", "histogram.threshold=0.0",
-            "--set", "histogram.max_runs=4",
-        ]
-    )
+    rc = main(["histogram", "--out", str(out)] + TINY_GA + HISTOGRAM_COMPLETE)
     assert rc == 0
     rows = csv_rows(out / "action_histogram.csv")
     assert len(rows) == 4  # site-by-site set on n=3
@@ -214,15 +237,7 @@ def test_histogram_complete(tmp_path):
 
 def test_histogram_partial_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
-    rc = main(
-        ["histogram", "--out", str(out)]
-        + TINY_GA
-        + [
-            "--set", "histogram.n_sequences=5",
-            "--set", "histogram.threshold=1.0",
-            "--set", "histogram.max_runs=2",
-        ]
-    )
+    rc = main(["histogram", "--out", str(out)] + TINY_GA + HISTOGRAM_PARTIAL)
     assert rc == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["status"] == "partial"
@@ -235,15 +250,7 @@ def test_histogram_partial_exit_code(tmp_path, capsys):
 
 def test_hpo_cli(tmp_path):
     out = tmp_path / "out"
-    rc = main(
-        ["hpo", "--out", str(out)]
-        + TINY_DQN
-        + [
-            "--set", "hpo.trials=2",
-            "--set", "hpo.val_runs=2",
-            "--set", "hpo.hidden1=[8, 12]",
-        ]
-    )
+    rc = main(["hpo", "--out", str(out)] + TINY_DQN + HPO_SETS)
     assert rc == 0
     rows = csv_rows(out / "hpo_trials.csv")
     assert [r["trial"] for r in rows] == ["0", "1"]

@@ -54,6 +54,8 @@ def test_unknown_keys_are_named_precisely():
         resolve(minimal(sweeps={}))
     with pytest.raises(ConfigError, match=r"^ga\.populaton_size: unknown key"):
         resolve(minimal(ga={"populaton_size": 512}))
+    with pytest.raises(ConfigError, match=r"^ga\.n_seeds: unknown key"):
+        resolve(minimal(ga={"n_seeds": 30}))
     with pytest.raises(ConfigError, match=r"^dqn\.reward\.zta: unknown key"):
         resolve(minimal(dqn={"reward": {"zta": 0.1}}))
     # reward is only a subsection of dqn, never a top-level section

@@ -40,7 +40,6 @@ def test_config_defaults_match_reference_table():
     assert (c.crossover_probability, c.mutation_probability) == (0.8, 0.99)
     assert c.mutated_genes is None
     assert c.target_probability == 0.99
-    assert c.n_seeds == 30
 
 
 def test_config_validation():
@@ -75,13 +74,13 @@ def test_with_population_rescales_pools():
 
 def test_init_population_shape_and_range():
     action_set = site_by_site_set(4)
-    pop = init_population(TINY, action_set, n_steps=20, rng=RandomStream(1))
+    pop = init_population(TINY, action_set, n_steps=20, gen=RandomStream(1).generator())
     assert pop.genes.shape == (32, 20)
     assert pop.genes.dtype == np.int64
     assert pop.genes.min() >= 0
     assert pop.genes.max() < len(action_set)
     assert pop.fitness is None
-    again = init_population(TINY, action_set, n_steps=20, rng=RandomStream(1))
+    again = init_population(TINY, action_set, n_steps=20, gen=RandomStream(1).generator())
     np.testing.assert_array_equal(pop.genes, again.genes)
 
 

@@ -39,7 +39,6 @@ TINY_GA = GaConfig(
     parents_mating=4,
     keep_elitism=2,
     target_probability=1.0,
-    n_seeds=3,
 )
 
 
@@ -88,7 +87,7 @@ def test_greedy_policy_controller_matches_rollout(spec4, cache4):
 
 
 def test_multi_seed_ga_summary_statistics():
-    summary = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(0))
+    summary = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(0), n_seeds=3)
     assert [row.n for row in summary.rows] == [3, 4]
     row = summary.row(4)
     assert row.per_seed.shape == (3,)
@@ -104,9 +103,9 @@ def test_multi_seed_ga_summary_statistics():
 
 
 def test_multi_seed_ga_deterministic_and_worker_invariant():
-    a = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(1))
-    b = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(1))
-    c = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(1), workers=3)
+    a = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(1), n_seeds=3)
+    b = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(1), n_seeds=3)
+    c = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(1), n_seeds=3, workers=3)
     for other in (b, c):
         for n in (3, 4):
             assert np.array_equal(a.row(n).per_seed, other.row(n).per_seed)
@@ -116,16 +115,9 @@ def test_multi_seed_ga_deterministic_and_worker_invariant():
 def test_multi_seed_ga_lengths_are_independent():
     # substreams key on the chain length itself, so dropping a length from
     # the list must not perturb the remaining one
-    both = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(2))
-    alone = multi_seed_ga([4], TINY_GA, "site_by_site", SPEC3, RandomStream(2))
+    both = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(2), n_seeds=3)
+    alone = multi_seed_ga([4], TINY_GA, "site_by_site", SPEC3, RandomStream(2), n_seeds=3)
     assert np.array_equal(both.row(4).per_seed, alone.row(4).per_seed)
-
-
-def test_multi_seed_ga_n_seeds_defaults_to_config():
-    summary = multi_seed_ga([3], TINY_GA, "site_by_site", SPEC3, RandomStream(3))
-    assert summary.row(3).per_seed.shape == (TINY_GA.n_seeds,)
-    wider = multi_seed_ga([3], TINY_GA, "site_by_site", SPEC3, RandomStream(3), n_seeds=5)
-    assert wider.row(3).per_seed.shape == (5,)
 
 
 def test_scaling_study_uses_its_own_stream_tag():

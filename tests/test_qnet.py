@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import state_equal
 
-from qst_control.qnet import QNetwork
+from qst_control.qnet import Gradients, QNetwork
 from qst_control.rng import RandomStream
 
 
@@ -95,9 +95,12 @@ def test_apply_gradients_is_plain_sgd():
     net = make_net()
     before_w = [w.copy() for w in net.weights]
     before_b = [b.copy() for b in net.biases]
-    gw = [np.ones_like(w) for w in net.weights]
-    gb = [np.full_like(b, 2.0) for b in net.biases]
-    net.apply_gradients((gw, gb), learning_rate=0.1)
+    grads = Gradients(np.empty(net.params.size), net.sizes)
+    for g in grads.weights:
+        g[...] = 1.0
+    for g in grads.biases:
+        g[...] = 2.0
+    net.apply_gradients(grads, learning_rate=0.1)
     for w, old in zip(net.weights, before_w):
         np.testing.assert_allclose(w, old - 0.1, atol=1e-15)
     for b, old in zip(net.biases, before_b):
@@ -218,14 +221,3 @@ def test_layer_views_edit_the_flat_parameters():
     np.testing.assert_array_equal(before[:, [0, 2, 3]], after[:, [0, 2, 3]])
     assert net.params.size == sum(w.size + b.size for w, b in zip(net.weights, net.biases))
     assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
-
-
-def test_apply_gradients_takes_per_layer_lists_or_its_own_gradients():
-    net = make_net()
-    gen = RandomStream(6).generator()
-    _, grads = net.loss_and_gradients(gen.normal(size=(8, 5)), gen.integers(0, 4, size=8), gen.normal(size=8))
-    as_lists = ([g.copy() for g in grads.weights], [g.copy() for g in grads.biases])
-    twin = net.clone()
-    net.apply_gradients(grads, 0.1)
-    twin.apply_gradients(as_lists, 0.1)
-    assert net.params.tobytes() == twin.params.tobytes()
