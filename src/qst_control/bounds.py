@@ -3,8 +3,7 @@
 A settings field declared with :func:`bounded` carries its bound in the
 field's metadata.  :class:`Checked` dataclasses check every bounded field
 when constructed; ``qst_control.config`` reads the same bounds to check a
-config key and name it by its dotted path.  The study settings classes are
-not checked when constructed: their bounds serve the config alone.
+config key and name it by its dotted path.
 
 A bound is a :class:`Range` or a tuple of allowed strings; a list or tuple
 value is bounded entry by entry, and a value of None (an unset optional)

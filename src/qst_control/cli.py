@@ -187,9 +187,8 @@ def _run_validate(config: ExperimentConfig, out: Path):
         ("p", "delta", "mean_max_probability", "std_max_probability", "mean_fidelity", "n_runs"),
         rows,
     )
-    clean = report.cells[0]
     print(
-        f"validate[{config.validate.controller}]: clean cell mean={clean.mean_max_probability!r}, "
+        f"validate[{config.validate.controller}]: clean cell mean={report.clean_max_probability!r}, "
         f"{len(report.cells)} cells x {config.validate.runs} runs"
     )
     return artifacts, meta

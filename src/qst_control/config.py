@@ -32,7 +32,7 @@ from pathlib import Path
 import yaml
 
 from .actions import SET_BUILDERS, make_action_set
-from .bounds import COUNT, Range, bound_of, bounded, check
+from .bounds import COUNT, Checked, Range, bound_of, bounded, check
 from .chain import ChainSpec
 from .dqn import DqnConfig
 from .ga import GaConfig
@@ -54,7 +54,7 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class BaselineSettings:
+class BaselineSettings(Checked):
     n_steps: int | None = bounded(None, Range(0))
 
 

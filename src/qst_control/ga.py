@@ -35,8 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .actions import ActionSet, build_cache
 from .bounds import COUNT, UNIT, Checked, Range, bounded
-from .chain import ChainSpec, evolve_lockstep, evolve_population
-from .noise import NoiseModel
+from .chain import ChainSpec, evolve_population
 from .rng import RandomStream, as_stream
 
 SATURATION_EPS = 1e-12
@@ -188,16 +187,11 @@ class GaRunRecord:
     final_population: Population = field(repr=False, default=None)
 
 
-def _evaluate(batches, cache, noise, streams, generation):
-    """Fitness of each seed's batch, stepped as one stack; noisy rows draw from their seed's stream."""
+def _evaluate(batches, cache):
+    """Fitness of each seed's batch, stepped as one stack."""
     sizes = [len(b) for b in batches]
-    genes = np.concatenate(batches)
     tags = None if len(batches) == 1 else np.repeat(np.arange(len(batches)), sizes)
-    if noise is None:
-        fit = evolve_population(genes, cache, tags)
-    else:
-        keys = np.concatenate([st.substream_keys(generation, count=k) for st, k in zip(streams, sizes)])
-        fit = evolve_lockstep(cache.unitaries, genes, genes.shape[1], noise, keys, tags=tags).probabilities.max(axis=1)
+    fit = evolve_population(np.concatenate(batches), cache, tags)
     return np.split(fit, np.cumsum(sizes)[:-1])
 
 
@@ -388,11 +382,10 @@ def run_ga(
     config: GaConfig,
     action_set: ActionSet,
     spec: ChainSpec,
-    noise: NoiseModel | None = None,
     seed: "int | RandomStream" = 0,
 ) -> GaRunRecord:
     """Run the genetic optimizer until target, saturation, or the cap: :func:`run_ga_lockstep` of one seed."""
-    (record,) = run_ga_lockstep(config, action_set, spec, noise, [seed])
+    (record,) = run_ga_lockstep(config, action_set, spec, [seed])
     return record
 
 
@@ -400,7 +393,6 @@ def run_ga_lockstep(
     config: GaConfig,
     action_set: ActionSet,
     spec: ChainSpec,
-    noise: NoiseModel | None = None,
     seeds=(0,),
 ) -> list[GaRunRecord]:
     """One optimizer run per seed, all seeds stepped a generation at a time.
@@ -411,7 +403,7 @@ def run_ga_lockstep(
     with their cached fitness, and refills the rest with offspring of the
     ``parents_mating``-strong parent pool.  Because elites are never
     re-evaluated, the best-so-far curve is non-decreasing whenever
-    elitism is on, even under noisy fitness.
+    elitism is on.
 
     Halting checks run in priority order target > saturation > cap;
     saturation fires when the best fitness improved by at most 1e-12 over
@@ -419,25 +411,24 @@ def run_ga_lockstep(
 
     Each seed (int or RandomStream) keeps its own generator, operators and
     halting; the offspring of the seeds still running are evaluated as one
-    stack tagged by seed (:func:`evolve_lockstep`), so every record but its
+    stack tagged by seed (:func:`evolve_population`), so every record but its
     wall time (from the shared start) is bit for bit the seed's run alone.
     """
     if action_set.n != spec.n:
         raise ValueError(f"action set is for n={action_set.n} but the chain has n={spec.n}")
     t0 = time.perf_counter()
-    streams = [as_stream(seed) for seed in seeds]
-    if not streams:
+    gens = [as_stream(seed).generator() for seed in seeds]
+    if not gens:
         raise ValueError("seeds must name at least one seed, got none")
-    gens = [st.generator() for st in streams]
     cache = build_cache(action_set, spec)
     mutated_genes = config.mutated_genes if config.mutated_genes is not None else spec.n
 
     genes = [init_population(config, action_set, spec.n_steps, gen).genes for gen in gens]
-    fit = _evaluate(genes, cache, noise, streams, generation=1)
+    fit = _evaluate(genes, cache)
     best_hist = [[float(f.max())] for f in fit]
     mean_hist = [[float(f.mean())] for f in fit]
-    records: list = [None] * len(streams)
-    live = list(range(len(streams)))
+    records: list = [None] * len(gens)
+    live = list(range(len(gens)))
     generation = 1
     while True:
         for s in live:
@@ -458,7 +449,7 @@ def run_ga_lockstep(
             return records
         elites, children = zip(*(_offspring(config, genes[s], fit[s], mutated_genes, gens[s]) for s in live))
         generation += 1
-        child_fit = _evaluate(children, cache, noise, [streams[s] for s in live], generation)
+        child_fit = _evaluate(children, cache)
         for s, elite, kids, kid_fit in zip(live, elites, children, child_fit):
             genes[s] = np.concatenate([genes[s][elite], kids], axis=0)
             fit[s] = np.concatenate([fit[s][elite], kid_fit])

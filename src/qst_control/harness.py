@@ -8,12 +8,13 @@ fixed tag scheme (one tag per study kind, then the job's own indices), so
 * reruns with the same seed reproduce byte-identical artifacts.
 
 ``workers`` threads run independent jobs: chain lengths, sweep cells and
-HPO trials.  The seeds of one length run in lock-step in one thread
-(:func:`ga.run_ga_lockstep`): two GA seeds at n=16 took 1.46 s on two
-threads and 1.13 s in lock-step (median design times).  The histogram
-runs its seeds in lock-step chunks of ``workers`` seeds.  Validation stacks
-the runs of several grid cells into one lock-step batch and ignores
-``workers``: two such batches on two threads lost to one call.
+HPO trials; a lone job runs in the calling thread.  The seeds of one
+length run in lock-step in one thread (:func:`ga.run_ga_lockstep`): two GA
+seeds at n=16 took 1.46 s on two threads and 1.13 s in lock-step (median
+design times).  The histogram runs its seeds in lock-step chunks of
+``workers`` seeds.  Validation stacks the runs of several grid cells into
+one lock-step batch and ignores ``workers``: two such batches on two
+threads lost to one call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import PropagatorCache, build_cache, make_action_set
-from .bounds import COUNT, NONNEGATIVE, POSITIVE, POSITIVE_UNIT, UNIT, Range, bounded
+from .bounds import COUNT, NONNEGATIVE, POSITIVE, POSITIVE_UNIT, UNIT, Checked, Range, bounded
 from .chain import ChainSpec, Trajectory, averaged_fidelity, evolve_lockstep, evolve_sequence
 from .dqn import DqnConfig, greedy_policy, greedy_rollout, train
 from .ga import GaConfig, run_ga, run_ga_lockstep
@@ -54,9 +55,11 @@ def run_jobs(jobs: dict, workers: int = 1) -> dict:
     """Run keyed, independent thunks; results come back under their keys.
 
     The output mapping is assembled from the keys, never from completion
-    order, so any ``workers`` value produces the same result.
+    order, so any ``workers`` value produces the same result.  A lone job
+    runs in the calling thread, so its freed memory stays in that thread's
+    malloc arena instead of a pool thread's.
     """
-    if workers <= 1:
+    if workers <= 1 or len(jobs) <= 1:
         return {key: job() for key, job in jobs.items()}
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {key: pool.submit(job) for key, job in jobs.items()}
@@ -100,7 +103,7 @@ class GreedyPolicyController:
 
 
 @dataclass(frozen=True)
-class ScalingSettings:
+class ScalingSettings(Checked):
     lengths: tuple[int, ...] = bounded((16, 32, 64, 128), Range(2))
     n_seeds: int = bounded(3, COUNT)
 
@@ -206,7 +209,7 @@ def scaling_study(
 
 
 @dataclass(frozen=True)
-class SweepSettings:
+class SweepSettings(Checked):
     h_values: tuple[float, ...] = bounded((25.0, 50.0, 100.0, 200.0), NONNEGATIVE)
     dt_values: tuple[float, ...] = bounded((0.05, 0.1, 0.15, 0.2), POSITIVE)
 
@@ -274,7 +277,7 @@ def sweep_h_dt(
 
 
 @dataclass(frozen=True)
-class ValidateSettings:
+class ValidateSettings(Checked):
     controller: str = bounded("ga", ("ga", "dqn"))
     p_values: tuple[float, ...] = bounded(DEFAULT_NOISE_LEVELS, UNIT)
     delta_values: tuple[float, ...] = bounded(DEFAULT_NOISE_LEVELS, NONNEGATIVE)
@@ -297,6 +300,7 @@ class ValidationReport:
     per_run: np.ndarray = field(repr=False)
     p_values: tuple
     delta_values: tuple
+    clean_max_probability: float
 
     def cell(self, p: float, delta: float) -> ValidationCell:
         for c in self.cells:
@@ -323,9 +327,9 @@ def validate_controller(
     cells are stepped in lock-step as one batch, each run under its cell's
     noise level and tagged by cell, so every run is bit for bit the one
     its cell gives stepped alone.  Cells with p = 0 or delta = 0 are
-    noiseless: every run is the clean rollout, computed once.  The
-    reported std is the population spread (ddof 0) of the per-run
-    trajectory maxima.
+    noiseless: every run is the clean rollout, computed once, whose
+    maximum the report keeps, noiseless cell or not.  The reported std
+    is the population spread (ddof 0) of the per-run trajectory maxima.
     ``controller`` gives the clean run through ``rollout(cache)`` and what
     :func:`evolve_lockstep` steps through ``actions()``.  ``workers`` is
     accepted and ignored: the batches run in the calling thread.
@@ -375,6 +379,7 @@ def validate_controller(
         per_run=per_run,
         p_values=tuple(float(p) for p in p_values),
         delta_values=tuple(float(d) for d in delta_values),
+        clean_max_probability=clean.max_probability,
     )
 
 
@@ -382,7 +387,7 @@ def validate_controller(
 
 
 @dataclass(frozen=True)
-class HistogramSettings:
+class HistogramSettings(Checked):
     n_sequences: int = bounded(1000, COUNT)
     threshold: float = bounded(0.99, UNIT)
     max_runs: int = bounded(200, COUNT)
@@ -466,7 +471,7 @@ def action_histogram(
 
 
 @dataclass(frozen=True)
-class HpoRanges:
+class HpoRanges(Checked):
     """Random-search ranges: gamma uniform, learning rate log-uniform,
     first hidden width integer-uniform (inclusive).  Each range carries the
     bound of the ``DqnConfig`` field it feeds, so every draw is one it accepts."""
@@ -477,7 +482,7 @@ class HpoRanges:
 
 
 @dataclass(frozen=True)
-class HpoSettings:
+class HpoSettings(Checked):
     trials: int = bounded(32, COUNT)
     val_runs: int = bounded(100, COUNT)
     ranges: HpoRanges = field(default_factory=HpoRanges)
@@ -518,8 +523,6 @@ def hyperparameter_search(
     second hidden width follows the first at the fixed 1:3 ratio.  Ties go
     to the lower trial index.
     """
-    if settings.trials < 1 or settings.val_runs < 1:
-        raise ValueError(f"trials and val_runs must be positive, got {settings.trials} and {settings.val_runs}")
     action_set = make_action_set(set_kind, spec.n, spec.field_strength)
     cache = build_cache(action_set, spec)
     noise = NoiseModel(p=settings.noise_p, delta=settings.noise_delta)

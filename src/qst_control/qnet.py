@@ -162,10 +162,6 @@ class QNetwork:
             raise ValueError(f"size mismatch: {self.sizes} vs {other.sizes}")
         self.params[...] = other.params
 
-    def assert_finite(self) -> None:
-        if not np.isfinite(self.params).all():
-            raise RuntimeError("network parameters contain non-finite values")
-
     # -------------------------------------------------------- persistence
 
     def save(self, path) -> None:
@@ -177,33 +173,3 @@ class QNetwork:
         for i, b in enumerate(self.biases):
             payload[f"b{i}"] = b
         np.savez(path, **payload)
-
-    @classmethod
-    def load(cls, path) -> "QNetwork":
-        """Read a network written by :meth:`save`.
-
-        Raises ValueError when the sizes are missing or not the four widths
-        that :meth:`__init__` builds, or a layer is missing, misshapen or not
-        real floating point; RuntimeError when a parameter is not finite.
-        """
-        with np.load(path) as data:
-            if "sizes" not in data.files:
-                raise ValueError(f"{path}: missing sizes")
-            sizes = tuple(int(s) for s in data["sizes"])
-            if len(sizes) != 4:
-                raise ValueError(f"{path}: sizes {sizes} must list 4 layer widths")
-            missing = [f"{k}{i}" for i in range(3) for k in "wb" if f"{k}{i}" not in data.files]
-            if missing:
-                raise ValueError(f"{path}: missing {', '.join(missing)}")
-            weights = [data[f"w{i}"] for i in range(3)]
-            biases = [data[f"b{i}"] for i in range(3)]
-        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            expected = ((f"w{i}", weights[i], (fan_out, fan_in)), (f"b{i}", biases[i], (fan_out,)))
-            for name, arr, shape in expected:
-                if arr.dtype.kind != "f" or arr.shape != shape:
-                    raise ValueError(f"{path}: {name} is {arr.dtype} {arr.shape}, sizes {sizes} need float {shape}")
-        net = object.__new__(cls)
-        net.sizes = sizes
-        net._bind(_flatten(weights, biases))
-        net.assert_finite()
-        return net

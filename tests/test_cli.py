@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 import yaml
 
+from qst_control.actions import build_cache, make_action_set
+from qst_control.chain import evolve_sequence
 from qst_control.cli import main
-from qst_control.config import resolve
+from qst_control.config import load_config, resolve
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -187,6 +189,22 @@ def test_validate_ga_worker_invariance(tmp_path):
     assert clean["p"] == "0.0"
     assert clean["std_max_probability"] == "0.0"
     assert clean["n_runs"] == "8"
+
+
+def test_validate_summary_reads_the_clean_run_on_a_grid_without_a_noiseless_cell(tmp_path, capsys):
+    out = tmp_path / "out"
+    # one noisy cell: the summary must not report its mean as the clean run's
+    sets = TINY_GA + ["--set", "validate.runs=5", "--set", "validate.p_values=[0.5]"]
+    sets += ["--set", "validate.delta_values=[0.5]"]
+    assert main(["validate", "--out", str(out)] + sets) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    config = load_config(overrides=sets[1::2])
+    cache = build_cache(make_action_set(config.action_set_kind, 3, config.chain.field_strength), config.chain)
+    sequence = json.loads((out / "controller.json").read_text())["sequence"]
+    clean = evolve_sequence(sequence, cache).max_probability
+    (noisy,) = csv_rows(out / "validation.csv")
+    assert float(noisy["mean_max_probability"]) != clean
+    assert summary == f"validate[ga]: clean cell mean={clean!r}, 1 cells x 5 runs"
 
 
 def test_validate_dqn_controller(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_best, offspring_oracle
-from qst_control import ChainSpec, NoiseModel, RandomStream, build_cache, ga, site_by_site_set
+from qst_control import ChainSpec, RandomStream, build_cache, ga, site_by_site_set
 from qst_control.ga import (
     GaConfig,
     HaltReason,
@@ -88,7 +88,7 @@ def test_fitness_is_trajectory_max(cache4):
     genes = np.array([[1, 0, 0, 2, 0, 3, 0, 0, 4, 0]])
     from qst_control import evolve_sequence
 
-    (fit,) = _evaluate([genes], cache4, None, [RandomStream(0)], generation=1)
+    (fit,) = _evaluate([genes], cache4)
     np.testing.assert_allclose(fit, [evolve_sequence(genes[0], cache4).max_probability], atol=1e-15)
 
 
@@ -212,19 +212,6 @@ def test_run_ga_best_curve_monotone_with_elitism(spec4):
     assert np.all(diffs >= 0)
 
 
-def test_run_ga_monotone_even_with_noisy_fitness(spec4):
-    # elites keep their realized fitness rather than being redrawn, which
-    # is what protects monotonicity under noise
-    action_set = site_by_site_set(spec4.n, spec4.field_strength)
-    noise = NoiseModel(p=0.5, delta=0.3)
-    record = run_ga(TINY, action_set, spec4, noise=noise, seed=7)
-    assert np.all(np.diff(record.best_fitness_per_generation) >= 0)
-    again = run_ga(TINY, action_set, spec4, noise=noise, seed=7)
-    np.testing.assert_array_equal(
-        record.best_fitness_per_generation, again.best_fitness_per_generation
-    )
-
-
 def test_run_ga_zero_target_halts_in_first_generation(spec4):
     action_set = site_by_site_set(spec4.n, spec4.field_strength)
     import dataclasses
@@ -311,27 +298,23 @@ SMALL = GaConfig(population_size=8, parents_mating=4, keep_elitism=7, saturation
 
 
 @pytest.mark.parametrize(
-    "config, noise, halts",
+    "config, halts",
     [
         # seeds leave the stack one by one: five reach the target, one the cap
         (
             dataclasses.replace(TINY, target_probability=0.98, max_generations=40, saturation=40),
-            None,
             [19, 18, 12, 5, 11, 40],
         ),
-        (SMALL, None, None),  # one child per generation
-        (dataclasses.replace(SMALL, keep_elitism=8), None, None),  # no children: saturation halts
-        (TINY, NoiseModel(p=0.5, delta=0.3), None),
+        (SMALL, None),  # one child per generation
+        (dataclasses.replace(SMALL, keep_elitism=8), None),  # no children: saturation halts
     ],
-    ids=["staggered-halts", "one-child", "no-children", "noisy"],
+    ids=["staggered-halts", "one-child", "no-children"],
 )
-def test_lockstep_seeds_match_their_runs_alone(spec4, config, noise, halts):
+def test_lockstep_seeds_match_their_runs_alone(spec4, config, halts):
     action_set = site_by_site_set(spec4.n, spec4.field_strength)
     seeds = list(range(6))
-    together = run_ga_lockstep(config, action_set, spec4, noise, seeds)
-    assert [_fields(r) for r in together] == [
-        _fields(run_ga(config, action_set, spec4, noise, seed)) for seed in seeds
-    ]
+    together = run_ga_lockstep(config, action_set, spec4, seeds)
+    assert [_fields(r) for r in together] == [_fields(run_ga(config, action_set, spec4, seed)) for seed in seeds]
     if halts is not None:
         assert [r.generations_run for r in together] == halts
 

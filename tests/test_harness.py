@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ def test_run_jobs_propagates_exceptions():
 
     with pytest.raises(RuntimeError, match="job failed"):
         run_jobs({0: (lambda: 1), 1: boom}, workers=3)
+
+
+def test_run_jobs_runs_a_lone_job_in_the_calling_thread():
+    assert run_jobs({"k": threading.get_ident}, workers=2) == {"k": threading.get_ident()}
 
 
 # ------------------------------------------------------------- controllers
@@ -310,7 +315,7 @@ def test_action_histogram_reports_incomplete_harvest():
         RandomStream(12),
         HistogramSettings(
             n_sequences=5,
-            threshold=1.000001,  # unreachable: fitness is a probability
+            threshold=1.0,  # unreached: these runs peak at 0.988
             max_runs=2,
         ),
     )
@@ -386,8 +391,8 @@ def test_hyperparameter_search_rejects_empty_counts_before_training(hpo_setup, b
 
     monkeypatch.setattr(harness, "train", no_training)
     base, ranges = hpo_setup
-    settings = HpoSettings(**{"trials": 2, "val_runs": 2, "ranges": ranges, **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
+        settings = HpoSettings(**{"trials": 2, "val_runs": 2, "ranges": ranges, **bad})
         hyperparameter_search(base, "site_by_site", SPEC3, RandomStream(15), settings)
 
 

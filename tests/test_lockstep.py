@@ -10,7 +10,6 @@ from qst_control import ChainSpec, NoiseModel, RandomStream, averaged_fidelity, 
 from qst_control import harness
 from qst_control.chain import NOISE_BLOCK_STEPS, _NoiseWalk, evolve_lockstep, evolve_sequence
 from qst_control.dqn import greedy_policy, greedy_rollout
-from qst_control.ga import _evaluate
 from qst_control.harness import FixedSequenceController, GreedyPolicyController, validate_controller
 from qst_control.noise import sample_noise_gate
 from qst_control.qnet import QNetwork
@@ -174,17 +173,6 @@ def test_greedy_batch_takes_the_oracle_actions(cache5):
         )
         assert np.array_equal(run.actions[r], actions)
         assert np.max(np.abs(run.probabilities[r] - probs)) <= 1e-12
-
-
-def test_noisy_ga_evaluation_matches_the_oracle(cache5):
-    genes = np.random.default_rng(7).integers(0, len(cache5), (13, cache5.spec.n_steps))
-    noise = NoiseModel(p=0.4, delta=0.6)
-    stream = RandomStream(30)
-    (fit,) = _evaluate([genes], cache5, noise, [stream], generation=3)
-    for i, row in enumerate(genes):
-        gen = stream.substream(3, i).generator()
-        _, probs = rollout_oracle(cache5.unitaries, len(row), fixed_choice(row), noise, gen)
-        assert abs(fit[i] - probs.max()) <= 1e-12
 
 
 def test_validate_controller_rejects_unknown_action_once_up_front(cache5, monkeypatch):
