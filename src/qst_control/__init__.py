@@ -20,12 +20,11 @@ from .chain import (
     free_transfer_probability,
     step_propagator,
 )
-from .actions import Action, ActionSet, PropagatorCache, build_cache, site_by_site_set, zhang16_set
+from .actions import ActionSet, PropagatorCache, build_cache, site_by_site_set, zhang16_set
 from .noise import NoiseModel, sample_noise_gate
 from .rng import RandomStream
 
 __all__ = [
-    "Action",
     "ActionSet",
     "ChainSpec",
     "NoiseModel",

@@ -38,54 +38,33 @@ def _check_chain(n: int, h: float) -> None:
 
 
 @dataclass(frozen=True)
-class Action:
-    """One control choice: an id and the per-site field values it applies."""
-
-    id: int
-    field_mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        mask = np.asarray(self.field_mask, dtype=float)
-        mask.setflags(write=False)
-        object.__setattr__(self, "field_mask", mask)
-
-
-@dataclass(frozen=True)
 class ActionSet:
-    """Immutable, contiguously numbered family of actions for one chain size."""
+    """Immutable family of actions for one chain size.
+
+    ``masks`` is the read-only (A, n) matrix of per-site field values, one
+    row per action id.
+    """
 
     kind: str
     n: int
     h: float
-    actions: tuple[Action, ...] = field(repr=False)
+    masks: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        ids = [a.id for a in self.actions]
-        if ids != list(range(len(self.actions))):
-            raise ValueError("action ids must be 0..len-1 in order")
-        for a in self.actions:
-            if a.field_mask.shape != (self.n,):
-                raise ValueError(
-                    f"action {a.id} mask has shape {a.field_mask.shape}, expected ({self.n},)"
-                )
+        masks = np.asarray(self.masks, dtype=float)
+        masks.setflags(write=False)
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
-        return len(self.actions)
-
-    def __getitem__(self, action_id: int) -> Action:
-        return self.actions[action_id]
+        return len(self.masks)
 
 
 def site_by_site_set(n: int, h: float = 100.0) -> ActionSet:
     """The n+1 single-site actions (0 = no field, k = field on site k)."""
     _check_chain(n, h)
-    actions = []
-    for a in range(n + 1):
-        mask = np.zeros(n)
-        if a > 0:
-            mask[a - 1] = h
-        actions.append(Action(a, mask))
-    return ActionSet(kind="site_by_site", n=n, h=h, actions=tuple(actions))
+    masks = np.zeros((n + 1, n))
+    masks[np.arange(1, n + 1), np.arange(n)] = h
+    return ActionSet(kind="site_by_site", n=n, h=h, masks=masks)
 
 
 def zhang16_sites(action_id: int, n: int) -> tuple[int, ...]:
@@ -111,13 +90,10 @@ def zhang16_set(n: int, h: float = 100.0) -> ActionSet:
     _check_chain(n, h)
     if n < 6:
         raise ValueError(f"the 16-action set needs n >= 6 so the end blocks do not overlap, got n={n}")
-    actions = []
+    masks = np.zeros((16, n))
     for a in range(16):
-        mask = np.zeros(n)
-        for s in zhang16_sites(a, n):
-            mask[s] = h
-        actions.append(Action(a, mask))
-    return ActionSet(kind="zhang16", n=n, h=h, actions=tuple(actions))
+        masks[a, list(zhang16_sites(a, n))] = h
+    return ActionSet(kind="zhang16", n=n, h=h, masks=masks)
 
 
 SET_BUILDERS = {"site_by_site": site_by_site_set, "zhang16": zhang16_set}
@@ -167,7 +143,6 @@ def build_cache(action_set: ActionSet, spec: ChainSpec) -> PropagatorCache:
     if action_set.n != spec.n:
         raise ValueError(f"action set is for n={action_set.n} but the chain has n={spec.n}")
     unitaries = np.empty((len(action_set), spec.n, spec.n), dtype=complex)
-    for a in action_set.actions:
-        h_mat = build_step_hamiltonian(spec, a.field_mask)
-        unitaries[a.id] = step_propagator(h_mat, spec.dt)
+    for a, mask in enumerate(action_set.masks):
+        unitaries[a] = step_propagator(build_step_hamiltonian(spec, mask), spec.dt)
     return PropagatorCache(action_set=action_set, spec=spec, unitaries=unitaries)

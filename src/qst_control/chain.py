@@ -42,7 +42,6 @@ from .rng import RandomStream
 from .noise import NoiseModel, sample_noise_gate  # noqa: F401
 
 HERMITICITY_ATOL = 1e-12
-UNITARITY_ATOL = 1e-10
 NOISE_BLOCK_STEPS = 16
 
 

@@ -35,10 +35,7 @@ from .harness import (
 from .reporting import environment_versions, write_csv, write_json, write_manifest
 from .rng import RandomStream
 
-_WORKERS_HELP = (
-    "threads for scaling lengths, sweep cells and HPO trials; histogram's lock-step chunk; "
-    "ignored by the single-run modes ga, dqn-train, validate and baseline"
-)
+_WORKERS_HELP = "threads for scaling lengths, sweep cells and HPO trials; every other mode ignores it"
 
 # substream tags for the controller-design runs inside `validate`
 _TAG_DESIGN_GA = 100
@@ -188,7 +185,7 @@ def _run_validate(config: ExperimentConfig, out: Path):
         rows,
     )
     print(
-        f"validate[{config.validate.controller}]: clean cell mean={report.clean_max_probability!r}, "
+        f"validate[{config.validate.controller}]: clean max={report.clean_max_probability!r}, "
         f"{len(report.cells)} cells x {config.validate.runs} runs"
     )
     return artifacts, meta
@@ -196,12 +193,11 @@ def _run_validate(config: ExperimentConfig, out: Path):
 
 def _run_sweep(config: ExperimentConfig, out: Path):
     result = sweep_h_dt(
-        config.chain.n,
         config.ga,
+        config.action_set_kind,
+        config.chain,
         RandomStream(config.seed),
         config.sweep,
-        set_kind=config.action_set_kind,
-        coupling=config.chain.coupling,
         workers=config.workers,
     )
     rows = [(c.h, c.dt, c.max_probability, c.halt_reason, c.generations) for c in result.cells]
@@ -222,7 +218,6 @@ def _run_histogram(config: ExperimentConfig, out: Path):
         config.chain,
         RandomStream(config.seed),
         config.histogram,
-        workers=config.workers,
     )
     rows = [(a, int(hist.counts[a]), hist.frequencies[a]) for a in range(hist.n_actions)]
     path = write_csv(out / "action_histogram.csv", ("action_id", "count", "frequency"), rows)

@@ -9,16 +9,16 @@ into an identical configuration.
 
 Each section is read off the dataclass it builds, the type of the
 same-named :class:`ExperimentConfig` field: its field names, annotations
-and defaults are the section's keys, value shapes and defaults, and a
-field without a default is required.  The study sections' classes live in
-:mod:`qst_control.harness`, whose studies take them whole.
-``DqnConfig.reward_table`` is the ``dqn.reward`` subsection; ``HpoRanges``
-spreads into ``hpo``.  A key's bound is the one declared on its field
-(:mod:`qst_control.bounds`), which the checked dataclasses also enforce
-when built, so a value out of range is reported under its dotted path.
-Only the top-level keys are written here.  A dataclass that rejects a
-combination of values is reported under its section, and an action set
-that does not fit the chain under ``action_set``.
+and defaults are the section's keys, value shapes and defaults, a field
+without a default is required, and a dataclass-typed field (such as
+``DqnConfig.reward``) is a subsection.  The study sections' classes live
+in :mod:`qst_control.harness`, whose studies take them whole.  A key's
+bound is the one declared on its field (:mod:`qst_control.bounds`), which
+the checked dataclasses also enforce when built, so a value out of range
+is reported under its dotted path.  Only the top-level keys are written
+here.  A dataclass that rejects a combination of values is reported under
+its section, and an action set that does not fit the chain under
+``action_set``.
 """
 
 from __future__ import annotations
@@ -81,22 +81,11 @@ class ExperimentConfig:
 
 # ------------------------------------------------------------------ schema
 
-# A dataclass-typed field named here is a subsection under the given key;
-# any other dataclass-typed field spreads its fields into its section.
-_SUBSECTIONS = {"reward_table": "reward"}
-
 
 def _schema(cls) -> dict:
     """Config key -> (annotation, default, bound) for the section ``cls`` builds."""
     hints = typing.get_type_hints(cls)
-    out = {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if dataclasses.is_dataclass(hint) and f.name not in _SUBSECTIONS:
-            out.update(_schema(hint))
-        else:
-            out[_SUBSECTIONS.get(f.name, f.name)] = (hint, f.default, bound_of(f))
-    return out
+    return {f.name: (hints[f.name], f.default, bound_of(f)) for f in dataclasses.fields(cls)}
 
 
 _SECTIONS = {
@@ -231,14 +220,10 @@ def _build_section(cls, section: dict):
     """``cls(**section)``, with lists as tuples and subsections built first."""
     hints = typing.get_type_hints(cls)
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if dataclasses.is_dataclass(hint):
-            inner = section[_SUBSECTIONS[f.name]] if f.name in _SUBSECTIONS else section
-            kwargs[f.name] = _build_section(hint, inner)
-        else:
-            value = section[f.name]
-            kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+    for key, value in section.items():
+        if dataclasses.is_dataclass(hints[key]):
+            value = _build_section(hints[key], value)
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
 
@@ -321,7 +306,7 @@ def describe(config: ExperimentConfig) -> str:
     """
     chain = config.chain
     n_actions = len(make_action_set(config.action_set_kind, chain.n, chain.field_strength))
-    table = config.dqn.reward_table
+    table = config.dqn.reward
     mutated = config.ga.mutated_genes if config.ga.mutated_genes is not None else chain.n
     source = "explicit" if config.ga.mutated_genes is not None else "chain length"
     lines = [

@@ -17,7 +17,6 @@ decays linearly per learning event to a floor.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +143,7 @@ class DqnConfig(Checked):
     epsilon_start: float = bounded(1.0, UNIT)
     epsilon_floor: float = bounded(0.01, UNIT)
     epsilon_decay: float = bounded(1e-4, NONNEGATIVE)
-    reward_table: RewardTable = field(default_factory=RewardTable)
+    reward: RewardTable = field(default_factory=RewardTable)
     fidelity_threshold: float = bounded(0.0, UNIT)
     noise_p: float = bounded(0.0, UNIT)
     noise_delta: float = bounded(0.0, NONNEGATIVE)
@@ -231,7 +230,6 @@ class TrainRecord:
     episode_epsilon: np.ndarray = field(repr=False)
     episode_loss: np.ndarray = field(repr=False)
     learn_events: int
-    wall_time: float
 
 
 # A diverging run overflows before td_update's finiteness check stops it;
@@ -255,7 +253,6 @@ def train(
     """
     if action_set.n != spec.n:
         raise ValueError(f"action set is for n={action_set.n} but the chain has n={spec.n}")
-    t0 = time.perf_counter()
     stream = as_stream(seed)
     gen = stream.generator()
     cache = build_cache(action_set, spec)
@@ -302,7 +299,7 @@ def train(
                 Experience(
                     state=state,
                     action=a,
-                    reward=config.reward_table(p),
+                    reward=config.reward(p),
                     next_state=next_state,
                     terminal=terminal,
                 )
@@ -342,7 +339,6 @@ def train(
         episode_epsilon=ep_eps,
         episode_loss=ep_loss,
         learn_events=learn_events,
-        wall_time=time.perf_counter() - t0,
     )
 
 

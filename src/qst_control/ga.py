@@ -26,7 +26,6 @@ it is computed.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -183,7 +182,6 @@ class GaRunRecord:
     mean_fitness_per_generation: np.ndarray
     halt_reason: HaltReason
     generations_run: int
-    wall_time: float
     final_population: Population = field(repr=False, default=None)
 
 
@@ -411,12 +409,11 @@ def run_ga_lockstep(
 
     Each seed (int or RandomStream) keeps its own generator, operators and
     halting; the offspring of the seeds still running are evaluated as one
-    stack tagged by seed (:func:`evolve_population`), so every record but its
-    wall time (from the shared start) is bit for bit the seed's run alone.
+    stack tagged by seed (:func:`evolve_population`), so every record is bit
+    for bit the seed's run alone.
     """
     if action_set.n != spec.n:
         raise ValueError(f"action set is for n={action_set.n} but the chain has n={spec.n}")
-    t0 = time.perf_counter()
     gens = [as_stream(seed).generator() for seed in seeds]
     if not gens:
         raise ValueError("seeds must name at least one seed, got none")
@@ -441,7 +438,6 @@ def run_ga_lockstep(
                     mean_fitness_per_generation=np.array(mean_hist[s]),
                     halt_reason=halt,
                     generations_run=generation,
-                    wall_time=time.perf_counter() - t0,
                     final_population=Population(genes=genes[s], fitness=fit[s]),
                 )
         live = [s for s in live if records[s] is None]

@@ -11,10 +11,11 @@ fixed tag scheme (one tag per study kind, then the job's own indices), so
 HPO trials; a lone job runs in the calling thread.  The seeds of one
 length run in lock-step in one thread (:func:`ga.run_ga_lockstep`): two GA
 seeds at n=16 took 1.46 s on two threads and 1.13 s in lock-step (median
-design times).  The histogram runs its seeds in lock-step chunks of
-``workers`` seeds.  Validation stacks the runs of several grid cells into
-one lock-step batch and ignores ``workers``: two such batches on two
-threads lost to one call.
+design times).  The histogram runs its seeds one at a time, so it never
+runs a seed its quota did not need.  Validation stacks the runs of
+several grid cells into one lock-step batch and ignores ``workers``: two
+such batches on two threads lost to one call.  No stack depends on
+``workers``.
 """
 
 from __future__ import annotations
@@ -235,24 +236,24 @@ class SweepResult:
 
 
 def sweep_h_dt(
-    n: int,
     config: GaConfig,
+    set_kind: str,
+    base_spec: ChainSpec,
     stream: RandomStream,
     settings: SweepSettings = SweepSettings(),
-    set_kind: str = "site_by_site",
-    coupling: float = 1.0,
     workers: int = 1,
 ) -> SweepResult:
     """One optimizer run per (field strength, step duration) grid point.
 
+    Every cell is ``base_spec`` with that cell's dt and field strength.
     Note the sequence length follows dt, so cells are comparable in
     physical duration, not in gene count.
     """
     jobs = {}
     for i, h in enumerate(settings.h_values):
         for j, dt in enumerate(settings.dt_values):
-            spec = ChainSpec(n=n, coupling=coupling, dt=dt, field_strength=h)
-            action_set = make_action_set(set_kind, n, h)
+            spec = dataclasses.replace(base_spec, dt=dt, field_strength=h)
+            action_set = make_action_set(set_kind, spec.n, h)
             jobs[(i, j)] = (
                 lambda c=config, a=action_set, sp=spec, st=stream.substream(TAG_SWEEP, i, j): run_ga(
                     c, a, sp, seed=st
@@ -422,41 +423,31 @@ def action_histogram(
     spec: ChainSpec,
     stream: RandomStream,
     settings: HistogramSettings = HistogramSettings(),
-    workers: int = 1,
 ) -> ActionHistogram:
     """Harvest successful sequences from repeated optimizer runs.
 
     Each run contributes the distinct chromosomes of its final population
     whose fitness reaches the threshold (distinct across the whole
     harvest, so a sequence cloned by elitism or rediscovered by a later
-    seed counts once).  Runs are consumed in seed order until the quota
-    or the run budget is exhausted; the final run's contribution is
-    truncated to the quota in population order.  Runs go in chunks of
-    ``workers`` seeds, and the seeds of a chunk run in lock-step.
+    seed counts once).  Runs go one seed at a time, in seed order, until
+    the quota or the run budget is exhausted; the final run's contribution
+    is truncated to the quota in population order.
     """
     action_set = make_action_set(set_kind, spec.n, spec.field_strength)
     counts = np.zeros(len(action_set), dtype=np.int64)
     seen: set[bytes] = set()
     runs_used = 0
-    chunk = max(1, workers)
-    for first in range(0, settings.max_runs, chunk):
-        if len(seen) >= settings.n_sequences:
-            break
-        seeds = [stream.substream(TAG_HISTOGRAM, s) for s in range(first, min(first + chunk, settings.max_runs))]
-        for record in run_ga_lockstep(config, action_set, spec, seeds=seeds):
+    while runs_used < settings.max_runs and len(seen) < settings.n_sequences:
+        pop = run_ga(config, action_set, spec, seed=stream.substream(TAG_HISTOGRAM, runs_used)).final_population
+        runs_used += 1
+        for i in np.nonzero(pop.fitness >= settings.threshold)[0]:
+            key = pop.genes[i].tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            counts += np.bincount(pop.genes[i], minlength=len(action_set))
             if len(seen) >= settings.n_sequences:
                 break
-            runs_used += 1
-            pop = record.final_population
-            hits = np.nonzero(pop.fitness >= settings.threshold)[0]
-            for i in hits:
-                key = pop.genes[i].tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                counts += np.bincount(pop.genes[i], minlength=len(action_set))
-                if len(seen) >= settings.n_sequences:
-                    break
     return ActionHistogram(
         counts=counts,
         n_actions=len(action_set),
@@ -471,21 +462,17 @@ def action_histogram(
 
 
 @dataclass(frozen=True)
-class HpoRanges(Checked):
-    """Random-search ranges: gamma uniform, learning rate log-uniform,
-    first hidden width integer-uniform (inclusive).  Each range carries the
-    bound of the ``DqnConfig`` field it feeds, so every draw is one it accepts."""
+class HpoSettings(Checked):
+    """Random-search settings.  The ranges are gamma uniform, learning rate
+    log-uniform and first hidden width integer-uniform (inclusive); each
+    carries the bound of the ``DqnConfig`` field it feeds, so every draw is
+    one it accepts."""
 
+    trials: int = bounded(32, COUNT)
+    val_runs: int = bounded(100, COUNT)
     gamma: tuple[float, float] = bounded((0.95, 1.0), POSITIVE_UNIT)
     learning_rate: tuple[float, float] = bounded((1e-5, 1e-2), POSITIVE)
     hidden1: tuple[int, int] = bounded((512, 4096), COUNT)
-
-
-@dataclass(frozen=True)
-class HpoSettings(Checked):
-    trials: int = bounded(32, COUNT)
-    val_runs: int = bounded(100, COUNT)
-    ranges: HpoRanges = field(default_factory=HpoRanges)
     noise_p: float = bounded(0.25, UNIT)
     noise_delta: float = bounded(0.25, NONNEGATIVE)
 
@@ -526,14 +513,13 @@ def hyperparameter_search(
     action_set = make_action_set(set_kind, spec.n, spec.field_strength)
     cache = build_cache(action_set, spec)
     noise = NoiseModel(p=settings.noise_p, delta=settings.noise_delta)
-    ranges = settings.ranges
 
     def run_trial(i: int) -> HpoTrial:
         sub = stream.substream(TAG_HPO, i)
         gen = sub.generator()
-        gamma = float(gen.uniform(*ranges.gamma))
-        lr = float(math.exp(gen.uniform(math.log(ranges.learning_rate[0]), math.log(ranges.learning_rate[1]))))
-        hidden1 = int(gen.integers(ranges.hidden1[0], ranges.hidden1[1] + 1))
+        gamma = float(gen.uniform(*settings.gamma))
+        lr = float(math.exp(gen.uniform(*map(math.log, settings.learning_rate))))
+        hidden1 = int(gen.integers(settings.hidden1[0], settings.hidden1[1] + 1))
         config = dataclasses.replace(
             base_config,
             gamma=gamma,

@@ -392,7 +392,7 @@ def train_oracle(config, action_set, spec, seed):
                 terminal = t == length - 1 or (
                     config.fidelity_threshold > 0.0 and p >= config.fidelity_threshold
                 )
-                memory.push(state, a, config.reward_table(p), encode(psi), terminal)
+                memory.push(state, a, config.reward(p), encode(psi), terminal)
                 actions_taken[t] = a
                 steps_done = t + 1
                 max_p = max(max_p, p)

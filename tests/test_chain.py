@@ -274,7 +274,7 @@ def test_evolve_sequence_matches_on_the_fly_exponentials(cache4, spec4):
     psi[0] = 1.0
     probs = []
     for a in seq:
-        h = build_step_hamiltonian(spec4, cache4.action_set[a].field_mask)
+        h = build_step_hamiltonian(spec4, cache4.action_set.masks[a])
         psi = propagator_oracle(h, spec4.dt) @ psi
         probs.append(abs(psi[-1]) ** 2)
     np.testing.assert_allclose(traj.probabilities, probs, atol=1e-10)

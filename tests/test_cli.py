@@ -204,7 +204,7 @@ def test_validate_summary_reads_the_clean_run_on_a_grid_without_a_noiseless_cell
     clean = evolve_sequence(sequence, cache).max_probability
     (noisy,) = csv_rows(out / "validation.csv")
     assert float(noisy["mean_max_probability"]) != clean
-    assert summary == f"validate[ga]: clean cell mean={clean!r}, 1 cells x 5 runs"
+    assert summary == f"validate[ga]: clean max={clean!r}, 1 cells x 5 runs"
 
 
 def test_validate_dqn_controller(tmp_path):
@@ -253,6 +253,17 @@ def test_histogram_complete(tmp_path):
     assert read_manifest(out)["complete"] is True
 
 
+def test_histogram_csv_is_the_same_at_any_worker_count(tmp_path):
+    # --workers counts threads only; the histogram runs its seeds one at a time
+    settings = ["--set", "histogram.n_sequences=8", "--set", "histogram.max_runs=6"]
+    outs = [tmp_path / "w1", tmp_path / "w3"]
+    for out, workers in zip(outs, ("1", "3")):
+        rc = main(["histogram", "--out", str(out), "--workers", workers] + TINY_GA + HISTOGRAM_COMPLETE + settings)
+        assert rc == 0
+    assert (outs[0] / "action_histogram.csv").read_bytes() == (outs[1] / "action_histogram.csv").read_bytes()
+    assert read_manifest(outs[0])["n_runs_used"] == read_manifest(outs[1])["n_runs_used"]
+
+
 def test_histogram_partial_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["histogram", "--out", str(out)] + TINY_GA + HISTOGRAM_PARTIAL)
@@ -284,6 +295,33 @@ def test_describe_output_reparses(capsys):
     assert "n_steps: 40" in out
     reparsed = resolve(yaml.safe_load(out))
     assert reparsed["chain"]["n"] == 8
+
+
+# sha256 of the `describe` output: the resolved config is part of the contract
+EVERY_SECTION = [
+    "--set", "mode=ga", "--set", "action_set=zhang16", "--set", "chain.n=6", "--set", "chain.dt=0.2",
+    "--set", "ga.population_size=64", "--set", "ga.parents_mating=16", "--set", "ga.keep_elitism=8",
+    "--set", "dqn.gamma=0.9", "--set", "dqn.hidden2=7", "--set", "dqn.reward.scales=[0,1,2]",
+    "--set", "validate.p_values=[0.5]", "--set", "sweep.dt_values=[0.3]", "--set", "histogram.threshold=0.5",
+    "--set", "scaling.lengths=[8,12]", "--set", "hpo.hidden1=[64,128]", "--set", "hpo.noise_p=0.5",
+    "--set", "baseline.n_steps=10", "--seed", "3", "--out", "described", "--workers", "3",
+]
+DESCRIBED = {
+    "n8": (["--set", "chain.n=8"], "cf8f6151716d490c73c50eac62dc897ba8e084041165463291e808c377379f70"),
+    "zhang16": (
+        ["--set", "chain.n=8", "--set", "action_set=zhang16", "--set", "dqn.hidden1=2417",
+         "--set", "dqn.reward.zeta=0.1", "--set", "hpo.hidden1=[64,128]"],
+        "1dbe2150d761d58b859086644528b41892b11afd3e47432ab92bfa02d1f95a28",
+    ),
+    "every-section": (EVERY_SECTION, "e368fa76a281c68d7ff027bc12fdce181f1341eca550404b6317e01b35a4d100"),
+}
+
+
+@pytest.mark.parametrize("name", list(DESCRIBED))
+def test_describe_output_is_pinned(name, capsys):
+    args, digest = DESCRIBED[name]
+    assert main(["describe"] + args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_config_error_exits_2(tmp_path, capsys):

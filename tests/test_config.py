@@ -11,6 +11,7 @@ from qst_control.config import (
     BaselineSettings,
     ConfigError,
     HistogramSettings,
+    HpoSettings,
     ScalingSettings,
     SweepSettings,
     ValidateSettings,
@@ -21,7 +22,6 @@ from qst_control.config import (
 )
 from qst_control.dqn import DqnConfig
 from qst_control.ga import GaConfig
-from qst_control.harness import HpoRanges
 
 
 def minimal(**extra):
@@ -149,8 +149,8 @@ def test_typed_build(tmp_path):
     assert config.chain.n == 8
     assert config.dqn.hidden1 == 2417
     assert config.dqn.resolved_hidden2 == 806
-    assert config.dqn.reward_table.zeta == 0.1
-    assert config.hpo.ranges.hidden1 == (64, 128)
+    assert config.dqn.reward.zeta == 0.1
+    assert config.hpo.hidden1 == (64, 128)
     assert config.validate.p_values == (0.0, 0.125, 0.25, 0.5)
 
 
@@ -254,7 +254,8 @@ def test_every_numeric_key_is_bounded():
     assert unbounded == ["dqn.reward.scales"]
     # every value an HPO range can draw is one DqnConfig accepts
     dqn_bounds = {f.name: bound_of(f) for f in dataclasses.fields(DqnConfig)}
-    assert all(bound_of(f) == dqn_bounds[f.name] for f in dataclasses.fields(HpoRanges))
+    hpo_bounds = {f.name: bound_of(f) for f in dataclasses.fields(HpoSettings)}
+    assert all(hpo_bounds[name] == dqn_bounds[name] for name in ("gamma", "learning_rate", "hidden1"))
 
 
 def test_defaults_are_the_dataclass_defaults():
@@ -263,7 +264,7 @@ def test_defaults_are_the_dataclass_defaults():
     assert config.chain == ChainSpec(n=8)
     assert config.ga == GaConfig()
     assert config.dqn == DqnConfig()
-    assert config.hpo.ranges == HpoRanges()
+    assert config.hpo == HpoSettings()
     assert config.validate == ValidateSettings()
     assert config.sweep == SweepSettings()
     assert config.histogram == HistogramSettings()

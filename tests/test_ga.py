@@ -272,7 +272,6 @@ def test_run_ga_record_contents(spec4):
     assert record.generations_run == len(record.best_fitness_per_generation)
     assert record.best_chromosome.genes.shape == (spec4.n_steps,)
     assert record.best_chromosome.fitness == record.best_fitness_per_generation[-1]
-    assert record.wall_time > 0
     assert record.final_population.genes.shape == (TINY.population_size, spec4.n_steps)
     np.testing.assert_allclose(
         record.final_population.fitness.max(), record.best_chromosome.fitness, atol=1e-15

@@ -14,7 +14,6 @@ from qst_control.harness import (
     FixedSequenceController,
     GreedyPolicyController,
     HistogramSettings,
-    HpoRanges,
     HpoSettings,
     ScalingSettings,
     SweepSettings,
@@ -185,7 +184,7 @@ def test_seed_studies_reject_a_seed_count_below_one_before_any_run(study, n_seed
 
 def test_sweep_h_dt_grid():
     result = sweep_h_dt(
-        3, TINY_GA, RandomStream(5), SweepSettings(h_values=(25.0, 50.0), dt_values=(0.5, 0.75)), coupling=1.0
+        TINY_GA, "site_by_site", SPEC3, RandomStream(5), SweepSettings(h_values=(25.0, 50.0), dt_values=(0.5, 0.75))
     )
     assert len(result.cells) == 4
     assert [(c.h, c.dt) for c in result.cells] == [
@@ -204,7 +203,12 @@ def test_sweep_h_dt_grid():
 def test_sweep_deterministic_and_worker_invariant():
     runs = [
         sweep_h_dt(
-            3, TINY_GA, RandomStream(6), SweepSettings(h_values=(25.0, 50.0), dt_values=(0.5, 0.75)), workers=w
+            TINY_GA,
+            "site_by_site",
+            SPEC3,
+            RandomStream(6),
+            SweepSettings(h_values=(25.0, 50.0), dt_values=(0.5, 0.75)),
+            workers=w,
         )
         for w in (1, 4, 1)
     ]
@@ -297,14 +301,20 @@ def test_action_histogram_harvests_to_quota():
     assert 1 <= hist.n_runs_used <= 6
 
 
-def test_action_histogram_worker_invariant():
-    settings = HistogramSettings(n_sequences=8, threshold=0.0, max_runs=6)
-    a = action_histogram(TINY_GA, "site_by_site", SPEC3, RandomStream(11), settings, workers=1)
-    b = action_histogram(TINY_GA, "site_by_site", SPEC3, RandomStream(11), settings, workers=3)
-    assert np.array_equal(a.counts, b.counts)
-    assert a.n_runs_used == b.n_runs_used
-    assert a.n_sequences == b.n_sequences
-    assert a.complete == b.complete
+def test_action_histogram_runs_one_seed_at_a_time(monkeypatch):
+    # a quota the first run fills must not start a second run
+    seeds = []
+
+    def spy_run_ga(config, action_set, spec, seed):
+        seeds.append(seed)
+        return run_ga(config, action_set, spec, seed=seed)
+
+    monkeypatch.setattr(harness, "run_ga", spy_run_ga)
+    settings = HistogramSettings(n_sequences=2, threshold=0.0, max_runs=6)
+    hist = action_histogram(TINY_GA, "site_by_site", SPEC3, RandomStream(11), settings)
+    assert hist.complete
+    assert hist.n_runs_used == 1
+    assert seeds == [RandomStream(11).substream(harness.TAG_HISTOGRAM, 0)]
 
 
 def test_action_histogram_reports_incomplete_harvest():
@@ -342,14 +352,14 @@ def hpo_setup():
         target_sync_period=5,
         episodes=8,
     )
-    ranges = HpoRanges(gamma=(0.9, 0.99), learning_rate=(1e-4, 1e-3), hidden1=(8, 16))
+    ranges = {"gamma": (0.9, 0.99), "learning_rate": (1e-4, 1e-3), "hidden1": (8, 16)}
     return base, ranges
 
 
 def test_hyperparameter_search_samples_within_ranges(hpo_setup):
     base, ranges = hpo_setup
     result = hyperparameter_search(
-        base, "site_by_site", SPEC3, RandomStream(13), HpoSettings(trials=3, ranges=ranges, val_runs=3)
+        base, "site_by_site", SPEC3, RandomStream(13), HpoSettings(trials=3, val_runs=3, **ranges)
     )
     assert [t.index for t in result.trials] == [0, 1, 2]
     for t in result.trials:
@@ -372,7 +382,7 @@ def test_hyperparameter_search_deterministic_and_worker_invariant(hpo_setup):
             "site_by_site",
             SPEC3,
             RandomStream(14),
-            HpoSettings(trials=3, ranges=ranges, val_runs=2),
+            HpoSettings(trials=3, val_runs=2, **ranges),
             workers=w,
         )
         for w in (1, 3)
@@ -392,7 +402,7 @@ def test_hyperparameter_search_rejects_empty_counts_before_training(hpo_setup, b
     monkeypatch.setattr(harness, "train", no_training)
     base, ranges = hpo_setup
     with pytest.raises(ValueError, match=next(iter(bad))):
-        settings = HpoSettings(**{"trials": 2, "val_runs": 2, "ranges": ranges, **bad})
+        settings = HpoSettings(**{"trials": 2, "val_runs": 2, **ranges, **bad})
         hyperparameter_search(base, "site_by_site", SPEC3, RandomStream(15), settings)
 
 
@@ -411,7 +421,7 @@ def test_hyperparameter_search_trains_and_scores_under_its_noise(hpo_setup, monk
     real_train, real_lockstep = harness.train, harness.evolve_lockstep
     monkeypatch.setattr(harness, "train", spy_train)
     monkeypatch.setattr(harness, "evolve_lockstep", spy_lockstep)
-    settings = HpoSettings(trials=2, val_runs=2, ranges=ranges, noise_p=0.5, noise_delta=0.75)
+    settings = HpoSettings(trials=2, val_runs=2, noise_p=0.5, noise_delta=0.75, **ranges)
     hyperparameter_search(base, "site_by_site", SPEC3, RandomStream(16), settings)
     assert trained == [(0.5, 0.75)] * 2
     assert scored == [NoiseModel(p=0.5, delta=0.75)] * 2
