@@ -282,30 +282,29 @@ def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, col, tags=None
     the contiguous ``ut[a] = U[a].T``.  A row's bits then depend on its own
     state and action and on the size of its block, not on the other rows.
 
-    ``tags`` stack batches that each keep the bits they get stepped alone.
-    A product of two rows or more gives a row the same bits at any row count,
-    on the view or the copy; a one-row product takes another BLAS path.  So
-    the rows of every (tag, action) class of two or more share their action's
-    block, and a one-row class is a block of its own, by ``ut[a]``, or by
-    the view when the row is its tag's whole batch.  ``states`` may be
+    ``tags`` stack batches, each of two rows or more, that keep the bits they
+    get stepped alone.  A product of two rows or more gives a row the same
+    bits at any row count, on the view or the copy; a one-row product takes
+    another BLAS path.  So the rows of every (tag, action) class of two or
+    more share their action's block, and a one-row class is a block of its
+    own by ``ut[a]``, as in its batch alone.  A one-row batch alone takes the
+    view instead, so :func:`evolve_lockstep` rejects it.  ``states`` may be
     overwritten; the stepped states are the return value.
     """
     if np.ndim(col):
         key, n_actions = col, len(unitaries)
         if tags is not None:
             cls = tags * n_actions + col
-            key = np.where(np.bincount(cls)[cls] == 1, n_actions + np.arange(len(col)), col)
-            whole = np.bincount(tags)[tags] == 1
+            # a one-row class gets a key of its own, equal to its action mod n_actions
+            key = np.where(np.bincount(cls)[cls] == 1, n_actions * (1 + np.arange(len(col))) + col, col)
         order = np.argsort(key, kind="stable")
         ranked = key[order]
         starts = np.flatnonzero(np.diff(ranked, prepend=-1)).tolist()
         if len(starts) != 1:
             grouped = states[order]
             # states is free now and takes the products in sorted order
-            for lo, hi, a in zip(starts, starts[1:] + [len(col)], ranked[starts].tolist()):
-                r = a - n_actions  # >= 0: the row of a one-row class
-                u = ut[a] if r < 0 else unitaries[col[r]].T if whole[r] else ut[col[r]]
-                np.matmul(grouped[lo:hi], u, out=states[lo:hi])
+            for lo, hi, k in zip(starts, starts[1:] + [len(col)], ranked[starts].tolist()):
+                np.matmul(grouped[lo:hi], ut[k % n_actions], out=states[lo:hi])
             grouped[order] = states
             return grouped
         col = col[0]
@@ -339,9 +338,9 @@ def evolve_lockstep(
         (:meth:`RandomStream.substream_keys`).  Run r's realization depends
         on ``rngs[r]`` and its own model alone; see :class:`_NoiseWalk`.
     tags:
-        Optional (R,) nonnegative ints: stacked batches, each stepped bit
-        for bit as alone.  Under a shared (L,) schedule only a one-row
-        batch needs its own product; it gets one.
+        Optional (R,) nonnegative ints: stacked batches of two rows or more,
+        each stepped bit for bit as alone.  A shared (L,) schedule takes one
+        product for every row, which needs no tags.
 
     The number of runs R is ``len(rngs)`` when given, else the number of
     schedule rows, else 1.  Each step applies one matrix product per
@@ -364,14 +363,8 @@ def evolve_lockstep(
             f"actions must have shape ({n_steps},) or ({n_runs}, {n_steps}), got {actions.shape}"
         )
     tags = None if tags is None else np.asarray(tags, dtype=np.int64)
-    if tags is not None and (tags.shape != (n_runs,) or np.any(tags < 0)):
-        raise ValueError(f"tags must be {n_runs} nonnegative integers, got {tags}")
-    if tags is not None and policy is None and actions.ndim == 1:
-        if np.any(np.bincount(tags) == 1):
-            # one product on all rows would give a one-row batch multi-row bits
-            actions = np.broadcast_to(actions, (n_runs, n_steps))
-        else:
-            tags = None
+    if tags is not None and (tags.shape != (n_runs,) or np.any(tags < 0) or np.any(np.bincount(tags) == 1)):
+        raise ValueError(f"tags must be {n_runs} nonnegative integers, each on two rows or more, got {tags}")
     walk = None
     if noise is not None:
         if rngs is None:

@@ -77,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _chain_objects(config: ExperimentConfig):
     spec = config.chain
-    action_set = make_action_set(config.action_set_kind, spec.n, spec.field_strength)
+    action_set = make_action_set(config.action_set, spec.n, spec.field_strength)
     return spec, action_set
 
 
@@ -99,7 +99,7 @@ def _run_ga(config: ExperimentConfig, out: Path):
             "generations_run": record.generations_run,
             "n": spec.n,
             "dt": spec.dt,
-            "action_set": config.action_set_kind,
+            "action_set": config.action_set,
         },
     )
     print(
@@ -132,7 +132,7 @@ def _run_dqn_train(config: ExperimentConfig, out: Path):
             "learn_events": record.learn_events,
             "n": spec.n,
             "dt": spec.dt,
-            "action_set": config.action_set_kind,
+            "action_set": config.action_set,
         },
     )
     print(
@@ -194,7 +194,7 @@ def _run_validate(config: ExperimentConfig, out: Path):
 def _run_sweep(config: ExperimentConfig, out: Path):
     result = sweep_h_dt(
         config.ga,
-        config.action_set_kind,
+        config.action_set,
         config.chain,
         RandomStream(config.seed),
         config.sweep,
@@ -214,7 +214,7 @@ def _run_sweep(config: ExperimentConfig, out: Path):
 def _run_histogram(config: ExperimentConfig, out: Path):
     hist = action_histogram(
         config.ga,
-        config.action_set_kind,
+        config.action_set,
         config.chain,
         RandomStream(config.seed),
         config.histogram,
@@ -246,7 +246,7 @@ def _run_histogram(config: ExperimentConfig, out: Path):
 def _run_scaling(config: ExperimentConfig, out: Path):
     summary = scaling_study(
         config.ga,
-        config.action_set_kind,
+        config.action_set,
         config.chain,
         RandomStream(config.seed),
         config.scaling,
@@ -302,7 +302,7 @@ def _run_baseline(config: ExperimentConfig, out: Path):
 def _run_hpo(config: ExperimentConfig, out: Path):
     result = hyperparameter_search(
         config.dqn,
-        config.action_set_kind,
+        config.action_set,
         config.chain,
         RandomStream(config.seed),
         config.hpo,

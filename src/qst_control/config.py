@@ -15,10 +15,11 @@ without a default is required, and a dataclass-typed field (such as
 in :mod:`qst_control.harness`, whose studies take them whole.  A key's
 bound is the one declared on its field (:mod:`qst_control.bounds`), which
 the checked dataclasses also enforce when built, so a value out of range
-is reported under its dotted path.  Only the top-level keys are written
-here.  A dataclass that rejects a combination of values is reported under
-its section, and an action set that does not fit the chain under
-``action_set``.
+is reported under its dotted path.  The top level is read the same way
+off :class:`ExperimentConfig` itself: its plain fields are the top-level
+keys, its dataclass-typed fields the sections.  A dataclass that rejects
+a combination of values is reported under its section, and an action set
+that does not fit the chain under ``action_set``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -39,7 +40,6 @@ from .ga import GaConfig
 from .harness import HistogramSettings, HpoSettings, ScalingSettings, SweepSettings, ValidateSettings
 
 MODES = ("ga", "dqn-train", "validate", "sweep", "histogram", "scaling", "baseline", "hpo", "describe")
-ACTION_SET_KINDS = tuple(SET_BUILDERS)
 
 
 class ConfigError(ValueError):
@@ -58,15 +58,15 @@ class BaselineSettings(Checked):
     n_steps: int | None = bounded(None, Range(0))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    """Fully resolved, typed experiment description."""
+    """Fully resolved, typed experiment description; each field is a top-level key."""
 
-    mode: str | None
-    seed: int
-    output_dir: str
-    workers: int
-    action_set_kind: str
+    mode: str = bounded(None, MODES)  # None: the resolved form leaves it out
+    seed: int = bounded(0, Range(0, 2**64 - 1))  # one 64-bit word of the Philox key
+    output_dir: str = "artifacts"
+    workers: int = bounded(1, COUNT)
+    action_set: str = bounded("site_by_site", tuple(SET_BUILDERS))
     chain: ChainSpec
     ga: GaConfig
     dqn: DqnConfig
@@ -76,33 +76,17 @@ class ExperimentConfig:
     scaling: ScalingSettings
     hpo: HpoSettings
     baseline: BaselineSettings
-    resolved: dict
+    resolved: dict = field(init=False, repr=False)  # the resolved form, as describe prints it
 
 
 # ------------------------------------------------------------------ schema
 
 
 def _schema(cls) -> dict:
-    """Config key -> (annotation, default, bound) for the section ``cls`` builds."""
+    """Config key -> (annotation, default, bound) for the mapping ``cls`` builds."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default, bound_of(f)) for f in dataclasses.fields(cls)}
+    return {f.name: (hints[f.name], f.default, bound_of(f)) for f in dataclasses.fields(cls) if f.init}
 
-
-_SECTIONS = {
-    name: hint
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
-    if dataclasses.is_dataclass(hint)
-}
-
-# top-level keys; a None default leaves the key out of the resolved form
-_TOP = {
-    "mode": (str, None, MODES),
-    "seed": (int, 0, Range(0, 2**64 - 1)),  # one 64-bit word of the Philox key
-    "output_dir": (str, "artifacts", None),
-    "workers": (int, 1, COUNT),
-    "action_set": (str, "site_by_site", ACTION_SET_KINDS),
-    **{name: (cls, dataclasses.MISSING, None) for name, cls in _SECTIONS.items()},
-}
 
 # what a missing required key stands for, in its error message
 _REQUIRED = {"chain.n": "chain length"}
@@ -175,7 +159,7 @@ def resolve(data: dict | None) -> dict:
     if data is not None and not isinstance(data, dict):
         raise ConfigError("", f"config must be a mapping, got {type(data).__name__}")
     missing = []
-    out = _resolve_section("", data, _TOP, missing)
+    out = _resolve_section("", data, _schema(ExperimentConfig), missing)
     if missing:
         raise ConfigError(missing[0], f"required ({_REQUIRED[missing[0]]})")
     if out["mode"] is None:
@@ -228,26 +212,21 @@ def _build_section(cls, section: dict):
 
 
 def _build(resolved: dict) -> ExperimentConfig:
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        try:
-            sections[name] = _build_section(cls, resolved[name])
-        except ValueError as exc:
-            raise ConfigError(name, str(exc)) from None
-    chain = sections["chain"]
+    kwargs = dict(resolved)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        if dataclasses.is_dataclass(hint):
+            try:
+                kwargs[name] = _build_section(hint, resolved[name])
+            except ValueError as exc:
+                raise ConfigError(name, str(exc)) from None
+    chain = kwargs["chain"]
     try:
         make_action_set(resolved["action_set"], chain.n, chain.field_strength)
     except ValueError as exc:
         raise ConfigError("action_set", str(exc)) from None
-    return ExperimentConfig(
-        mode=resolved.get("mode"),
-        seed=resolved["seed"],
-        output_dir=resolved["output_dir"],
-        workers=resolved["workers"],
-        action_set_kind=resolved["action_set"],
-        resolved=resolved,
-        **sections,
-    )
+    config = ExperimentConfig(**kwargs)
+    config.resolved = resolved
+    return config
 
 
 def load_config(
@@ -305,14 +284,14 @@ def describe(config: ExperimentConfig) -> str:
     so a described config can be saved and rerun verbatim.
     """
     chain = config.chain
-    n_actions = len(make_action_set(config.action_set_kind, chain.n, chain.field_strength))
+    n_actions = len(make_action_set(config.action_set, chain.n, chain.field_strength))
     table = config.dqn.reward
     mutated = config.ga.mutated_genes if config.ga.mutated_genes is not None else chain.n
     source = "explicit" if config.ga.mutated_genes is not None else "chain length"
     lines = [
         "# resolved experiment configuration; derived quantities:",
         f"#   n_steps: {chain.n_steps}   (sequence length, deadline {chain.transfer_deadline!r})",
-        f"#   n_actions: {n_actions}   ({config.action_set_kind})",
+        f"#   n_actions: {n_actions}   ({config.action_set})",
         f"#   ga swaps per mutation event: {mutated // 2}   (mutated_genes {mutated}, {source})",
         f"#   dqn hidden layers: {config.dqn.hidden1} -> {config.dqn.resolved_hidden2}",
         (

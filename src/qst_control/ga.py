@@ -186,10 +186,12 @@ class GaRunRecord:
 
 
 def _evaluate(batches, cache):
-    """Fitness of each seed's batch, stepped as one stack."""
+    """Fitness of each seed's batch, stepped as one stack when every batch
+    has two rows or more (a tag batch needs two), else one at a time."""
     sizes = [len(b) for b in batches]
-    tags = None if len(batches) == 1 else np.repeat(np.arange(len(batches)), sizes)
-    fit = evolve_population(np.concatenate(batches), cache, tags)
+    if len(batches) == 1 or min(sizes) < 2:
+        return [evolve_population(b, cache) for b in batches]
+    fit = evolve_population(np.concatenate(batches), cache, np.repeat(np.arange(len(batches)), sizes))
     return np.split(fit, np.cumsum(sizes)[:-1])
 
 

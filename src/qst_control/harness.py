@@ -15,7 +15,9 @@ design times).  The histogram runs its seeds one at a time, so it never
 runs a seed its quota did not need.  Validation stacks the runs of
 several grid cells into one lock-step batch and ignores ``workers``: two
 such batches on two threads lost to one call.  No stack depends on
-``workers``.
+``workers``.  A stack keeps the bits of batches of two rows or more, so a
+generation in which a seed has fewer than two offspring steps its seeds
+one at a time, and at one run per cell every cell steps alone.
 """
 
 from __future__ import annotations
@@ -327,13 +329,14 @@ def validate_controller(
     ``SCHEDULE_ROWS`` (a policy: ``POLICY_ROWS``) rows of whole noisy
     cells are stepped in lock-step as one batch, each run under its cell's
     noise level and tagged by cell, so every run is bit for bit the one
-    its cell gives stepped alone.  Cells with p = 0 or delta = 0 are
-    noiseless: every run is the clean rollout, computed once, whose
-    maximum the report keeps, noiseless cell or not.  The reported std
-    is the population spread (ddof 0) of the per-run trajectory maxima.
-    ``controller`` gives the clean run through ``rollout(cache)`` and what
-    :func:`evolve_lockstep` steps through ``actions()``.  ``workers`` is
-    accepted and ignored: the batches run in the calling thread.
+    its cell gives stepped alone; at one run a cell, each cell steps alone.
+    Cells with p = 0 or delta = 0 are noiseless: every run is the clean
+    rollout, computed once, whose maximum the report keeps, noiseless cell
+    or not.  The reported std is the population spread (ddof 0) of the
+    per-run trajectory maxima.  ``controller`` gives the clean run through
+    ``rollout(cache)`` and what :func:`evolve_lockstep` steps through
+    ``actions()``.  ``workers`` is accepted and ignored: the batches run in
+    the calling thread.
     """
     grid = [(float(p), float(d)) for p in p_values for d in delta_values]
     # all up front, so that a bad run count, noise level or controller fails
@@ -346,7 +349,8 @@ def validate_controller(
     per_run = np.full((len(grid), n_runs), clean.max_probability)
     noisy = [c for c, m in enumerate(models) if m.p > 0.0 and m.delta > 0.0]
     actions = controller.actions()
-    per_call = max(1, (POLICY_ROWS if callable(actions) else SCHEDULE_ROWS) // n_runs)
+    rows = POLICY_ROWS if callable(actions) else SCHEDULE_ROWS
+    per_call = max(1, rows // n_runs) if n_runs > 1 else 1  # a tag batch needs two rows
     for chunk in (noisy[i : i + per_call] for i in range(0, len(noisy), per_call)):
         keys = np.concatenate([stream.substream_keys(TAG_VALIDATION, c, count=n_runs) for c in chunk])
         noise = [models[c] for c in chunk for _ in range(n_runs)]

@@ -8,12 +8,15 @@ step loop.  The rollout oracle draws its gates through the package's
 ``sample_noise_gate``, whose draw order ``tests/test_noise.py`` pins: it is
 the order the lock-step kernel must reproduce.  The per-cell validation
 oracle steps each grid cell on its own, whose bits the stacked validation
-must keep.  The training oracle is the DQN loop on per-array networks
-and a per-array replay ring, whose bits ``dqn.train`` must keep.
-The offspring oracle is the GA's per-child operator loop, whose children
-and generator state the bulk offspring path must keep.  ``state_equal``
-and ``replay_contents`` read a Q-network's parameters and a replay
-memory's ring.  Deliberately slow and simple.
+must keep.  The channel oracle is the exact ensemble mean of the dephasing
+channel: a density-matrix pass that shares no draw with the package, so
+it also catches a documented noise model that is itself wrong.  The
+training oracle is the DQN loop on per-array networks and a per-array
+replay ring, whose bits ``dqn.train`` must keep.  The offspring oracle is
+the GA's per-child operator loop, whose children and generator state the
+bulk offspring path must keep.  ``state_equal`` and ``replay_contents``
+read a Q-network's parameters and a replay memory's ring.  Deliberately
+slow and simple.
 """
 
 from __future__ import annotations
@@ -178,6 +181,29 @@ def per_cell_validation(controller, cache, stream, p_values, delta_values, n_run
                 cache.unitaries, controller.actions(), len(clean.probabilities), NoiseModel(p, d), keys
             )
             out[c] = run.probabilities.max(axis=1)
+    return out
+
+
+def channel_mean(unitaries, schedule, p: float, delta: float) -> np.ndarray:
+    """Exact mean over noise realizations of each step's ``|psi[-1]|^2``.
+
+    The state's density matrix takes the step ``rho <- U rho U^dagger`` and
+    then the mean gate ``rho <- rho * M`` (entrywise): M is 1 on the
+    diagonal and 1 - p + p sinc(delta)^2 off it, where sinc(delta) =
+    sin(delta) / delta = E[exp(i delta xi)] for xi ~ U[-1, 1], and an
+    active gate puts exp(i delta (xi_j - xi_k)) on entry (j, k).  Each
+    step's gate is drawn afresh, so the mean of a fixed schedule's
+    trajectory is this one deterministic pass.
+    """
+    n = unitaries.shape[1]
+    m = np.full((n, n), 1.0 - p + p * np.sinc(delta / np.pi) ** 2)
+    np.fill_diagonal(m, 1.0)
+    rho = np.zeros((n, n), dtype=complex)
+    rho[0, 0] = 1.0
+    out = np.empty(len(schedule))
+    for t, a in enumerate(schedule):
+        rho = (unitaries[a] @ rho @ unitaries[a].conj().T) * m
+        out[t] = rho[-1, -1].real
     return out
 
 

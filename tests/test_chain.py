@@ -402,14 +402,15 @@ def test_row_order_permutes_results_bitwise(n, rows, seed):
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(2, 8),
-    sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    sizes=st.lists(st.sampled_from([0, 2, 3, 4, 5, 6]), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=3, sizes=[0], seed=0)  # an empty stack
-@example(n=4, sizes=[1, 2, 1], seed=1)
+@example(n=4, sizes=[2, 3, 2], seed=1)
 def test_tagged_rows_evolve_as_their_tag_alone(n, sizes, seed):
-    # a stack of tagged batches gives every batch the bits it gets alone,
-    # though a one-row product takes another BLAS path than a block
+    # a stack of tagged batches of two rows or more gives every batch the
+    # bits it gets alone, though a one-row product takes another BLAS path
+    # than a block
     cache = _site_cache(n)
     gen = np.random.default_rng(seed)
     length = int(gen.integers(1, 3 * n))
@@ -436,8 +437,7 @@ def test_tagged_rows_evolve_as_their_tag_alone(n, sizes, seed):
     alone = [evolve_lockstep(cache.unitaries, b, length, noise, k).probabilities for b, k in zip(batches, keys)]
     assert run.probabilities.tobytes() == np.concatenate(alone).tobytes()
 
-    # one (L,) schedule shared by every row: a one-row batch still takes the
-    # one-row product it gets alone, not a share of the stack's product
+    # one (L,) schedule shared by every row: one product for the whole stack
     seq = gen.integers(0, len(cache), length)
     run = evolve_lockstep(cache.unitaries, seq, length, noise, np.concatenate(keys), tags=tags)
     alone = [evolve_lockstep(cache.unitaries, seq, length, noise, k).probabilities for k in keys]
@@ -449,3 +449,15 @@ def test_tags_must_give_one_nonnegative_int_per_row(cache4):
     for bad in ([0, 1], [0, -1, 1], [[0, 0, 1]]):
         with pytest.raises(ValueError, match="tags"):
             evolve_population(genes, cache4, bad)
+
+
+def test_a_one_row_tag_batch_is_rejected(cache4):
+    # alone, a one-row batch takes the one-row product that a stack cannot give it
+    genes = np.zeros((4, 4), dtype=np.int64)
+    keys = RandomStream(0).substream_keys(count=4)
+    for schedule in (genes, genes[0]):  # four runs either way
+        with pytest.raises(ValueError, match="two rows or more"):
+            evolve_lockstep(cache4.unitaries, schedule, 4, NoiseModel(0.5, 0.5), keys, tags=[0, 1, 1, 2])
+        evolve_lockstep(cache4.unitaries, schedule, 4, NoiseModel(0.5, 0.5), keys, tags=[0, 1, 1, 0])
+    with pytest.raises(ValueError, match="two rows or more"):
+        evolve_population(genes, cache4, [0, 1, 1, 2])

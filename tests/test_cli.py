@@ -199,7 +199,7 @@ def test_validate_summary_reads_the_clean_run_on_a_grid_without_a_noiseless_cell
     assert main(["validate", "--out", str(out)] + sets) == 0
     summary = capsys.readouterr().out.splitlines()[0]
     config = load_config(overrides=sets[1::2])
-    cache = build_cache(make_action_set(config.action_set_kind, 3, config.chain.field_strength), config.chain)
+    cache = build_cache(make_action_set(config.action_set, 3, config.chain.field_strength), config.chain)
     sequence = json.loads((out / "controller.json").read_text())["sequence"]
     clean = evolve_sequence(sequence, cache).max_probability
     (noisy,) = csv_rows(out / "validation.csv")

@@ -145,7 +145,7 @@ def test_typed_build(tmp_path):
         )
     )
     config = load_config(cfg)
-    assert config.action_set_kind == "zhang16"
+    assert config.action_set == "zhang16"
     assert config.chain.n == 8
     assert config.dqn.hidden1 == 2417
     assert config.dqn.resolved_hidden2 == 806
@@ -250,7 +250,7 @@ def test_every_numeric_key_is_bounded():
             elif leaves(hint) & {int, float} and bound is None:
                 unbounded.append(sub)
 
-    walk("", config_module._TOP)
+    walk("", config_module._schema(config_module.ExperimentConfig))
     assert unbounded == ["dqn.reward.scales"]
     # every value an HPO range can draw is one DqnConfig accepts
     dqn_bounds = {f.name: bound_of(f) for f in dataclasses.fields(DqnConfig)}

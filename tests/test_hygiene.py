@@ -1,4 +1,5 @@
-"""Source checks that need no run: every module-level constant is read somewhere."""
+"""Source checks that need no run: every module-level constant is read
+somewhere, and every random draw comes from a keyed Philox generator."""
 
 import ast
 import re
@@ -16,8 +17,12 @@ def _stored_names(target):
             yield from _stored_names(elt)
 
 
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_module_constant_is_read():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     defined = {}
     read = set()
     for module, tree in trees.items():
@@ -36,3 +41,26 @@ def test_every_module_constant_is_read():
     assert defined, f"no module constants found under {SRC}"
     unread = sorted(f"{module}: {name}" for name, module in defined.items() if name not in read)
     assert unread == []
+
+
+def test_numpy_random_gives_only_keyed_generators():
+    # np.random.Generator(np.random.Philox(key)) is the one way to draw: a
+    # global or unkeyed generator (np.random.rand, default_rng()) cannot
+    # get into a run
+    used = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "random"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")
+            ):
+                used.add(f"{module}: np.random.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+                used.update(f"{module}: np.random.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                used.update(f"{module}: np.random" for alias in node.names if alias.name == "random")
+    assert used, f"no np.random use found under {SRC}"
+    assert {use.split(": ")[1] for use in used} <= {"np.random.Generator", "np.random.Philox"}, sorted(used)
