@@ -31,10 +31,16 @@ from .chain import ChainSpec, build_step_hamiltonian, step_propagator
 _CHAIN_BOUNDS = {f.name: bound_of(f) for f in dataclasses.fields(ChainSpec)}
 
 
-def _check_chain(n: int, h: float) -> None:
-    """Check a set's chain length and field against ``ChainSpec``'s bounds."""
+def set_size(kind: str, n: int, h: float = 100.0) -> int:
+    """Actions in the set ``kind`` (a ``SET_BUILDERS`` name) on an n-chain, after
+    its builder's checks (``ChainSpec``'s bounds, n >= 6 for zhang16); no masks."""
     check(n, _CHAIN_BOUNDS["n"], "n")
     check(h, _CHAIN_BOUNDS["field_strength"], "h")
+    if kind == "site_by_site":
+        return n + 1
+    if n < 6:
+        raise ValueError(f"the 16-action set needs n >= 6 so the end blocks do not overlap, got n={n}")
+    return 16
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,7 @@ class ActionSet:
 
 def site_by_site_set(n: int, h: float = 100.0) -> ActionSet:
     """The n+1 single-site actions (0 = no field, k = field on site k)."""
-    _check_chain(n, h)
-    masks = np.zeros((n + 1, n))
+    masks = np.zeros((set_size("site_by_site", n, h), n))
     masks[np.arange(1, n + 1), np.arange(n)] = h
     return ActionSet(kind="site_by_site", n=n, h=h, masks=masks)
 
@@ -87,10 +92,7 @@ def zhang16_set(n: int, h: float = 100.0) -> ActionSet:
     The lower bound keeps the head block (sites 1-3) and the tail block
     (sites n-2..n) disjoint so all 16 patterns are distinct.
     """
-    _check_chain(n, h)
-    if n < 6:
-        raise ValueError(f"the 16-action set needs n >= 6 so the end blocks do not overlap, got n={n}")
-    masks = np.zeros((16, n))
+    masks = np.zeros((set_size("zhang16", n, h), n))
     for a in range(16):
         masks[a, list(zhang16_sites(a, n))] = h
     return ActionSet(kind="zhang16", n=n, h=h, masks=masks)

@@ -43,6 +43,7 @@ from .noise import NoiseModel, sample_noise_gate  # noqa: F401
 
 HERMITICITY_ATOL = 1e-12
 NOISE_BLOCK_STEPS = 16
+PLAN_CELLS = 4096  # (step, row) cells that one sort of a schedule groups
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ class _NoiseWalk:
         if len(models) != len(keys):
             raise ValueError(f"noise must be one NoiseModel or a list of {len(keys)}, one per run, got {len(models)}")
         self.p = np.array([m.p for m in models])
-        self.phase = 1j * np.array([m.delta for m in models])
+        self.delta = np.array([m.delta for m in models])
         self.n = n
         self.keys = keys.tolist()
         self.block = NOISE_BLOCK_STEPS * (n + 1)  # a multiple of 4: the first fill takes all
@@ -235,8 +236,8 @@ class _NoiseWalk:
         self.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self.flat = self.buf.reshape(-1)
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.buf, n, axis=1)
         self.starts = np.arange(len(keys)) * self.block
-        self.span = np.arange(1, n + 1)  # a step's phase variates follow its activation variate
 
     def apply(self, states: np.ndarray) -> None:
         """Draw one step's gates and dephase the active rows of ``states`` in place."""
@@ -256,9 +257,16 @@ class _NoiseWalk:
         self.pos += 1
         active = np.nonzero(zeta < self.p)[0]
         if active.size:
-            xi = -1.0 + 2.0 * self.flat[at[active, None] + self.span]
+            # the phase variates follow the activation one; cos + i sin gives exp(1j * delta * xi)
+            xi = self.windows[active, self.pos[active]]
+            xi *= 2.0
+            xi -= 1.0
+            xi *= self.delta[active, None]
+            gate = np.empty(xi.shape, dtype=complex)
+            np.cos(xi, out=gate.real)
+            np.sin(xi, out=gate.imag)
             self.pos[active] += self.n
-            states[active] = np.exp(self.phase[active, None] * xi) * states[active]
+            states[active] = gate * states[active]
 
 
 @dataclass(frozen=True)
@@ -272,43 +280,52 @@ class Rollouts:
         return Trajectory(probabilities=self.probabilities[run], dt=dt)
 
 
-def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, col, tags=None) -> np.ndarray:
-    """One step: U[a] on every row that takes action a.
+def _plan(cols: np.ndarray, n_actions: int, tags, order: np.ndarray) -> list:
+    """Group the rows of an (R, T) block of steps by action, with one sort.
 
-    When every row takes the same action the step is ``states @ U[a].T`` on
-    the transposed view, which for one row is bit for bit ``U[a] @ psi``.
-    Otherwise a stable argsort lines up each action's rows as one block, in
-    row order, and every block, one-row blocks included, is multiplied by
-    the contiguous ``ut[a] = U[a].T``.  A row's bits then depend on its own
-    state and action and on the size of its block, not on the other rows.
-
-    ``tags`` stack batches, each of two rows or more, that keep the bits they
-    get stepped alone.  A product of two rows or more gives a row the same
-    bits at any row count, on the view or the copy; a one-row product takes
-    another BLAS path.  So the rows of every (tag, action) class of two or
-    more share their action's block, and a one-row class is a block of its
-    own by ``ut[a]``, as in its batch alone.  A one-row batch alone takes the
-    view instead, so :func:`evolve_lockstep` rejects it.  ``states`` may be
-    overwritten; the stepped states are the return value.
+    Step t's entry is its action when every row takes it, else ``(order[t],
+    starts, actions)``: the rows in stable key order, held in ``order``, and
+    each block's first position and action.  A row's key is its action; the
+    row of a one-row (tag, action) class keys as ``n_actions * (1 + tag) +
+    action``, unique and below ``n_actions * (n_tags + 1)``, so keys fit the
+    narrowest unsigned dtype, whose stable sort is a radix sort.  A product
+    of two rows or more gives a row the same bits at any row count, a one-row
+    product another BLAS path, so each tag batch keeps its solo blocks at any T.
     """
-    if np.ndim(col):
-        key, n_actions = col, len(unitaries)
-        if tags is not None:
-            cls = tags * n_actions + col
-            # a one-row class gets a key of its own, equal to its action mod n_actions
-            key = np.where(np.bincount(cls)[cls] == 1, n_actions * (1 + np.arange(len(col))) + col, col)
-        order = np.argsort(key, kind="stable")
-        ranked = key[order]
-        starts = np.flatnonzero(np.diff(ranked, prepend=-1)).tolist()
-        if len(starts) != 1:
-            grouped = states[order]
-            # states is free now and takes the products in sorted order
-            for lo, hi, k in zip(starts, starts[1:] + [len(col)], ranked[starts].tolist()):
-                np.matmul(grouped[lo:hi], ut[k % n_actions], out=states[lo:hi])
-            grouped[order] = states
-            return grouped
-        col = col[0]
-    return states @ unitaries[col].T
+    n_rows, n_steps = cols.shape
+    span = 0 if tags is None else n_actions * (tags.max(initial=0) + 1)  # (tag, action) classes
+    key = cols.T.astype(np.min_scalar_type(span + n_actions - 1))
+    if tags is not None:
+        cls = (tags * n_actions).astype(key.dtype) + key
+        flat = cls + np.arange(0, n_steps * span, span)[:, None]
+        np.add(cls, n_actions, out=key, where=(np.bincount(flat.ravel()) == 1)[flat])
+    order[:n_steps] = key.argsort(axis=1, kind="stable")
+    key.sort(axis=1, kind="stable")  # key[order], and cheaper than that gather
+    edge = np.ones(key.shape, dtype=bool)
+    np.not_equal(key[:, 1:], key[:, :-1], out=edge[:, 1:])
+    at = np.flatnonzero(edge)  # each block's first cell
+    acts, starts = (key.ravel()[at] % n_actions).tolist(), (at % n_rows).tolist()
+    ends = [0] + at.searchsorted(np.arange(1, n_steps + 1) * n_rows).tolist()
+    return [acts[a] if b - a == 1 else (order[t], starts[a:b], acts[a:b]) for t, (a, b) in enumerate(zip(ends, ends[1:]))]
+
+
+def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, step) -> np.ndarray:
+    """One step of a :func:`_plan`: U[a] on every row that takes action a.
+
+    A step all rows share is ``states @ U[a].T`` on the transposed view, for
+    one row bit for bit ``U[a] @ psi``.  Otherwise the rows are gathered in
+    plan order, each block is multiplied by the contiguous ``ut[a] = U[a].T``
+    and the rows are scattered back.  ``states`` may be overwritten.
+    """
+    if isinstance(step, int):
+        return states @ unitaries[step].T
+    order, starts, acts = step
+    grouped = states[order]
+    # states is free now and takes the products in sorted order
+    for lo, hi, k in zip(starts, starts[1:] + [len(order)], acts):
+        np.matmul(grouped[lo:hi], ut[k], out=states[lo:hi])
+    grouped[order] = states
+    return grouped
 
 
 def evolve_lockstep(
@@ -343,9 +360,10 @@ def evolve_lockstep(
         product for every row, which needs no tags.
 
     The number of runs R is ``len(rngs)`` when given, else the number of
-    schedule rows, else 1.  Each step applies one matrix product per
-    distinct action (see :func:`_apply_actions`), and probabilities are
-    recorded after that step's gate.
+    schedule rows, else 1.  An (R, L) schedule's rows are grouped by action
+    with one sort per ``PLAN_CELLS // R`` steps, a policy's every step
+    (:func:`_plan`).  Each step applies one matrix product per group
+    (:func:`_apply_actions`); probabilities are recorded after its gate.
     """
     n_actions, n = unitaries.shape[0], unitaries.shape[1]
     policy = actions if callable(actions) else None
@@ -354,10 +372,7 @@ def evolve_lockstep(
         if actions.size and (actions.min() < 0 or actions.max() >= n_actions):
             bad = actions[(actions < 0) | (actions >= n_actions)][0]
             raise ValueError(f"unknown action index {bad}; action set has {n_actions} actions")
-    if rngs is not None:
-        n_runs = len(rngs)
-    else:
-        n_runs = actions.shape[0] if policy is None and actions.ndim == 2 else 1
+    n_runs = len(rngs) if rngs is not None else actions.shape[0] if policy is None and actions.ndim == 2 else 1
     if policy is None and actions.shape not in ((n_steps,), (n_runs, n_steps)):
         raise ValueError(
             f"actions must have shape ({n_steps},) or ({n_runs}, {n_steps}), got {actions.shape}"
@@ -373,19 +388,20 @@ def evolve_lockstep(
     states = np.zeros((n_runs, n), dtype=complex)
     states[:, 0] = 1.0
     # rows can take different actions only under a 2-D schedule or a policy
-    mixed = n_runs > 1 and (policy is not None or actions.ndim == 2)
-    ut = unitaries.transpose(0, 2, 1).copy() if mixed else None
-    if policy is None:
-        taken = np.broadcast_to(actions, (n_runs, n_steps))
-    else:
-        taken = np.empty((n_runs, n_steps), dtype=np.int64)
+    shared = policy is None and actions.ndim == 1
+    ut = unitaries.transpose(0, 2, 1).copy() if n_runs > 1 and not shared else None
+    taken = np.broadcast_to(actions, (n_runs, n_steps)) if policy is None else np.empty((n_runs, n_steps), np.int64)
+    # a shared schedule is its own plan, a policy plans one step at a time; one
+    # buffer takes every block's row order (fresh ones per block read more peak RSS)
+    block = n_steps if shared else 1 if policy is not None else max(1, PLAN_CELLS // max(n_runs, 1))
+    order = None if shared else np.empty((block, n_runs), dtype=np.intp)
     probs = np.empty((n_runs, n_steps))
     for t in range(n_steps):
-        if policy is None:
-            col = actions[..., t]
-        else:
-            col = taken[:, t] = policy(states)
-        states = _apply_actions(states, unitaries, ut, col, tags)
+        if policy is not None:
+            taken[:, t] = policy(states)
+        if t % block == 0:
+            plan = actions.tolist() if shared else _plan(taken[:, t : t + block], n_actions, tags, order)
+        states = _apply_actions(states, unitaries, ut, plan[t % block])
         if walk is not None:
             walk.apply(states)
         probs[:, t] = np.abs(states[:, -1]) ** 2

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import yaml
 
-from .actions import SET_BUILDERS, make_action_set
+from .actions import SET_BUILDERS, set_size
 from .bounds import COUNT, Checked, Range, bound_of, bounded, check
 from .chain import ChainSpec
 from .dqn import DqnConfig
@@ -221,7 +221,7 @@ def _build(resolved: dict) -> ExperimentConfig:
                 raise ConfigError(name, str(exc)) from None
     chain = kwargs["chain"]
     try:
-        make_action_set(resolved["action_set"], chain.n, chain.field_strength)
+        set_size(resolved["action_set"], chain.n, chain.field_strength)
     except ValueError as exc:
         raise ConfigError("action_set", str(exc)) from None
     config = ExperimentConfig(**kwargs)
@@ -284,7 +284,7 @@ def describe(config: ExperimentConfig) -> str:
     so a described config can be saved and rerun verbatim.
     """
     chain = config.chain
-    n_actions = len(make_action_set(config.action_set, chain.n, chain.field_strength))
+    n_actions = set_size(config.action_set, chain.n, chain.field_strength)
     table = config.dqn.reward
     mutated = config.ga.mutated_genes if config.ga.mutated_genes is not None else chain.n
     source = "explicit" if config.ga.mutated_genes is not None else "chain length"

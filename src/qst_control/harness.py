@@ -15,9 +15,11 @@ design times).  The histogram runs its seeds one at a time, so it never
 runs a seed its quota did not need.  Validation stacks the runs of
 several grid cells into one lock-step batch and ignores ``workers``: two
 such batches on two threads lost to one call.  No stack depends on
-``workers``.  A stack keeps the bits of batches of two rows or more, so a
-generation in which a seed has fewer than two offspring steps its seeds
-one at a time, and at one run per cell every cell steps alone.
+``workers``.  One sort per block of steps groups a stack, keying a one-row
+(batch, action) class as a block alone; as a product of two rows or more
+gives a row the same bits at any row count, each batch of two rows or more
+keeps its solo bits.  So a generation with a seed of under two offspring
+steps its seeds one at a time, and at one run a cell each cell steps alone.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qst_control
+import qst_control.chain
 from oracles import pauli_block_hamiltonian, propagator_oracle
 from qst_control import (
     ChainSpec,
@@ -442,6 +443,45 @@ def test_tagged_rows_evolve_as_their_tag_alone(n, sizes, seed):
     run = evolve_lockstep(cache.unitaries, seq, length, noise, np.concatenate(keys), tags=tags)
     alone = [evolve_lockstep(cache.unitaries, seq, length, noise, k).probabilities for k in keys]
     assert run.probabilities.tobytes() == np.concatenate(alone).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    sizes=st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, sizes=[2] * 28, seed=2)  # 9 actions * 29 > 255: the keys need 16 bits
+def test_plan_blocks_leave_every_bit_as_it_is(n, sizes, seed):
+    # a schedule is grouped a block of steps at a time; neither one step per
+    # block nor blocks that split the schedule unevenly may move a bit
+    cache = _site_cache(n)
+    gen = np.random.default_rng(seed)
+    length = int(gen.integers(3, 3 * n + 3))
+    genes = gen.integers(0, len(cache), (sum(sizes), length))
+    firsts = np.cumsum([0] + sizes[:-1])
+    # one-row (tag, action) classes: each batch's first row alone takes the
+    # last action, in every batch at once, at some steps
+    lonely = gen.random(length) < 0.5
+    genes[:, lonely] %= len(cache) - 1
+    genes[np.ix_(firsts, lonely)] = len(cache) - 1
+    tags = np.repeat(np.arange(len(sizes)), sizes)
+    noise = NoiseModel(p=0.5, delta=0.7)
+    keys = RandomStream(seed).substream_keys(5, count=len(genes))
+
+    def run():
+        noisy = evolve_lockstep(cache.unitaries, genes, length, noise, keys, tags=tags)
+        return evolve_population(genes, cache, tags).tobytes(), noisy.probabilities.tobytes()
+
+    default = run()
+    # and each batch keeps the bits it gets alone, with keys of any width
+    alone = np.concatenate([evolve_population(genes[tags == t], cache) for t in range(len(sizes))])
+    assert default[0] == alone.tobytes()
+    uneven = next(b for b in range(2, length) if length % b)
+    for steps_per_block in (1, uneven):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qst_control.chain, "PLAN_CELLS", steps_per_block * len(genes))
+            assert run() == default
 
 
 def test_tags_must_give_one_nonnegative_int_per_row(cache4):

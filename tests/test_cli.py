@@ -297,6 +297,12 @@ def test_describe_output_reparses(capsys):
     assert reparsed["chain"]["n"] == 8
 
 
+def test_describe_counts_the_actions_of_a_long_chain_without_building_them(capsys):
+    # the (n + 1) x n mask matrix of this chain would take 74.5 GiB
+    assert main(["describe", "--set", "chain.n=100000"]) == 0
+    assert "n_actions: 100001   (site_by_site)" in capsys.readouterr().out
+
+
 # sha256 of the `describe` output: the resolved config is part of the contract
 EVERY_SECTION = [
     "--set", "mode=ga", "--set", "action_set=zhang16", "--set", "chain.n=6", "--set", "chain.dt=0.2",
