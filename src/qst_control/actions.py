@@ -115,9 +115,10 @@ class PropagatorCache:
     """Precomputed step unitaries, one per action, for a fixed chain and dt.
 
     Everything downstream (GA fitness, DQN environment, validation
-    rollouts) consumes propagators through this cache, so each unitary is
-    computed exactly once per experiment and can be shared across threads;
-    the arrays are frozen to keep that sharing safe.
+    rollouts) reads propagators from a cache.  Each design call builds its
+    own and shares it with everything inside it; HPO and the CLI's
+    ``validate`` build one more to score with, which HPO's trial threads
+    share.  The arrays are frozen to keep that sharing safe.
     """
 
     action_set: ActionSet

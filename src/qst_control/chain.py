@@ -495,25 +495,20 @@ def free_transfer_probability(spec: ChainSpec, t):
     return p.reshape(t.shape)
 
 
-def free_peak(spec: ChainSpec, t_max: float | None = None) -> tuple[float, float]:
+def free_peak(spec: ChainSpec) -> tuple[float, float]:
     """Time and height of the first-pass transmission maximum of the free chain.
 
-    Scans ``[0, t_max]`` on a dense grid (default window is the transfer
-    deadline 0.75 n) and polishes the best grid point with a bounded scalar
-    minimizer.
+    Scans the transfer deadline ``[0, 0.75 n]`` on a dense grid and polishes
+    the best grid point with a bounded scalar minimizer.
 
     Returns
     -------
     (t_peak, p_peak)
     """
-    if t_max is None:
-        t_max = 0.75 * spec.n
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
     # imported here: scipy.optimize costs most of the package's import time
     from scipy.optimize import minimize_scalar
 
-    grid = np.linspace(0.0, t_max, 4001)
+    grid = np.linspace(0.0, 0.75 * spec.n, 4001)
     p = free_transfer_probability(spec, grid)
     k = int(np.argmax(p))
     lo = grid[max(k - 1, 0)]

@@ -26,13 +26,16 @@ from .ga import run_ga
 from .harness import (
     FixedSequenceController,
     GreedyPolicyController,
+    HpoTrial,
+    SweepCell,
+    ValidationCell,
     action_histogram,
     hyperparameter_search,
     scaling_study,
     sweep_h_dt,
     validate_controller,
 )
-from .reporting import environment_versions, write_csv, write_json, write_manifest
+from .reporting import environment_versions, record_columns, write_csv, write_json, write_manifest
 from .rng import RandomStream
 
 _WORKERS_HELP = "threads for scaling lengths, sweep cells and HPO trials; every other mode ignores it"
@@ -84,11 +87,14 @@ def _chain_objects(config: ExperimentConfig):
 def _run_ga(config: ExperimentConfig, out: Path):
     spec, action_set = _chain_objects(config)
     record = run_ga(config.ga, action_set, spec, seed=RandomStream(config.seed))
-    rows = [
-        (g + 1, record.best_fitness_per_generation[g], record.mean_fitness_per_generation[g])
-        for g in range(record.generations_run)
-    ]
-    curves = write_csv(out / "ga_generations.csv", ("generation", "best_fitness", "mean_fitness"), rows)
+    curves = write_csv(
+        out / "ga_generations.csv",
+        {
+            "generation": range(1, record.generations_run + 1),
+            "best_fitness": record.best_fitness_per_generation,
+            "mean_fitness": record.mean_fitness_per_generation,
+        },
+    )
     best = write_json(
         out / "best_sequence.json",
         {
@@ -112,16 +118,15 @@ def _run_ga(config: ExperimentConfig, out: Path):
 def _run_dqn_train(config: ExperimentConfig, out: Path):
     spec, action_set = _chain_objects(config)
     record = train(config.dqn, action_set, spec, seed=RandomStream(config.seed))
-    rows = [
-        (
-            ep,
-            record.episode_max_probability[ep],
-            record.episode_epsilon[ep],
-            record.episode_loss[ep],
-        )
-        for ep in range(len(record.episode_max_probability))
-    ]
-    episodes = write_csv(out / "dqn_episodes.csv", ("episode", "max_probability", "epsilon", "loss"), rows)
+    episodes = write_csv(
+        out / "dqn_episodes.csv",
+        {
+            "episode": range(len(record.episode_max_probability)),
+            "max_probability": record.episode_max_probability,
+            "epsilon": record.episode_epsilon,
+            "loss": record.episode_loss,
+        },
+    )
     record.network.save(out / "qnetwork.npz")
     best = write_json(
         out / "best_sequence.json",
@@ -175,15 +180,7 @@ def _run_validate(config: ExperimentConfig, out: Path):
         delta_values=config.validate.delta_values,
         n_runs=config.validate.runs,
     )
-    rows = [
-        (c.p, c.delta, c.mean_max_probability, c.std_max_probability, c.mean_fidelity, c.n_runs)
-        for c in report.cells
-    ]
-    artifacts["validation"] = write_csv(
-        out / "validation.csv",
-        ("p", "delta", "mean_max_probability", "std_max_probability", "mean_fidelity", "n_runs"),
-        rows,
-    )
+    artifacts["validation"] = write_csv(out / "validation.csv", record_columns(ValidationCell, report.cells))
     print(
         f"validate[{config.validate.controller}]: clean max={report.clean_max_probability!r}, "
         f"{len(report.cells)} cells x {config.validate.runs} runs"
@@ -200,12 +197,7 @@ def _run_sweep(config: ExperimentConfig, out: Path):
         config.sweep,
         workers=config.workers,
     )
-    rows = [(c.h, c.dt, c.max_probability, c.halt_reason, c.generations) for c in result.cells]
-    path = write_csv(
-        out / "sweep.csv",
-        ("h", "dt", "max_probability", "halt_reason", "generations"),
-        rows,
-    )
+    path = write_csv(out / "sweep.csv", record_columns(SweepCell, result.cells))
     best = max(result.cells, key=lambda c: c.max_probability)
     print(f"sweep: best cell h={best.h!r} dt={best.dt!r} max_probability={best.max_probability!r}")
     return {"sweep": path}, {}
@@ -219,8 +211,10 @@ def _run_histogram(config: ExperimentConfig, out: Path):
         RandomStream(config.seed),
         config.histogram,
     )
-    rows = [(a, int(hist.counts[a]), hist.frequencies[a]) for a in range(hist.n_actions)]
-    path = write_csv(out / "action_histogram.csv", ("action_id", "count", "frequency"), rows)
+    path = write_csv(
+        out / "action_histogram.csv",
+        {"action_id": range(hist.n_actions), "count": hist.counts, "frequency": hist.frequencies},
+    )
     meta = {
         "n_sequences": hist.n_sequences,
         "n_runs_used": hist.n_runs_used,
@@ -252,13 +246,16 @@ def _run_scaling(config: ExperimentConfig, out: Path):
         config.scaling,
         workers=config.workers,
     )
-    rows = [
-        (r.n, r.best, r.mean, r.std, len(r.per_seed), r.best_fidelity) for r in summary.rows
-    ]
     path = write_csv(
         out / "scaling.csv",
-        ("n", "best_max_probability", "mean_max_probability", "std_max_probability", "n_seeds", "best_fidelity"),
-        rows,
+        {
+            "n": [r.n for r in summary.rows],
+            "best_max_probability": [r.best for r in summary.rows],
+            "mean_max_probability": [r.mean for r in summary.rows],
+            "std_max_probability": [r.std for r in summary.rows],
+            "n_seeds": [len(r.per_seed) for r in summary.rows],
+            "best_fidelity": [r.best_fidelity for r in summary.rows],
+        },
     )
     per_seed = write_json(
         out / "scaling_runs.json",
@@ -280,10 +277,11 @@ def _run_scaling(config: ExperimentConfig, out: Path):
 def _run_baseline(config: ExperimentConfig, out: Path):
     spec = config.chain
     traj = free_evolution_baseline(spec, config.baseline.n_steps)
-    rows = [
-        (j, (j + 1) * spec.dt, traj.probabilities[j]) for j in range(traj.n_steps)
-    ]
-    path = write_csv(out / "baseline.csv", ("step", "time", "probability"), rows)
+    steps = range(traj.n_steps)
+    path = write_csv(
+        out / "baseline.csv",
+        {"step": steps, "time": [(j + 1) * spec.dt for j in steps], "probability": traj.probabilities},
+    )
     t_peak, p_peak = free_peak(spec)
     peak = write_json(
         out / "baseline_peak.json",
@@ -308,18 +306,11 @@ def _run_hpo(config: ExperimentConfig, out: Path):
         config.hpo,
         workers=config.workers,
     )
-    rows = [
-        (t.index, t.gamma, t.learning_rate, t.hidden1, t.score, t.train_best) for t in result.trials
-    ]
-    trials = write_csv(
-        out / "hpo_trials.csv",
-        ("trial", "gamma", "learning_rate", "hidden1", "score", "train_best"),
-        rows,
-    )
+    trials = write_csv(out / "hpo_trials.csv", record_columns(HpoTrial, result.trials))
     best = write_json(
         out / "hpo_best.json",
         {
-            "trial": result.best.index,
+            "trial": result.best.trial,
             "gamma": result.best.gamma,
             "learning_rate": result.best.learning_rate,
             "hidden1": result.best.hidden1,
@@ -328,7 +319,7 @@ def _run_hpo(config: ExperimentConfig, out: Path):
         },
     )
     print(
-        f"hpo: best trial {result.best.index} score={result.best.score!r} "
+        f"hpo: best trial {result.best.trial} score={result.best.score!r} "
         f"(gamma={result.best.gamma!r}, lr={result.best.learning_rate!r}, hidden1={result.best.hidden1})"
     )
     return {"hpo_trials": trials, "hpo_best": best}, {}

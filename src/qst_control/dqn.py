@@ -251,8 +251,6 @@ def train(
     over the learning events that fired in it (NaN for episodes with
     none).
     """
-    if action_set.n != spec.n:
-        raise ValueError(f"action set is for n={action_set.n} but the chain has n={spec.n}")
     stream = as_stream(seed)
     gen = stream.generator()
     cache = build_cache(action_set, spec)

@@ -414,8 +414,6 @@ def run_ga_lockstep(
     stack tagged by seed (:func:`evolve_population`), so every record is bit
     for bit the seed's run alone.
     """
-    if action_set.n != spec.n:
-        raise ValueError(f"action set is for n={action_set.n} but the chain has n={spec.n}")
     gens = [as_stream(seed).generator() for seed in seeds]
     if not gens:
         raise ValueError("seeds must name at least one seed, got none")

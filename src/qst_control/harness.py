@@ -485,7 +485,7 @@ class HpoSettings(Checked):
 
 @dataclass
 class HpoTrial:
-    index: int
+    trial: int
     gamma: float
     learning_rate: float
     hidden1: int
@@ -540,7 +540,7 @@ def hyperparameter_search(
         run = evolve_lockstep(cache.unitaries, greedy_policy(record.network), spec.n_steps, noise, keys)
         scores = run.probabilities.max(axis=1)
         return HpoTrial(
-            index=i,
+            trial=i,
             gamma=gamma,
             learning_rate=lr,
             hidden1=hidden1,
@@ -551,7 +551,7 @@ def hyperparameter_search(
     jobs = {i: (lambda i=i: run_trial(i)) for i in range(settings.trials)}
     results = run_jobs(jobs, workers)
     trials = [results[i] for i in range(settings.trials)]
-    best = max(trials, key=lambda t: (t.score, -t.index))
+    best = max(trials, key=lambda t: (t.score, -t.trial))
     best_config = dataclasses.replace(
         base_config,
         gamma=best.gamma,

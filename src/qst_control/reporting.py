@@ -5,15 +5,18 @@ module pins down everything that could wobble: floats are rendered with
 ``repr`` (shortest string that round-trips the exact double), line endings
 are always ``\\n``, JSON keys are sorted, and rows are emitted in key
 order decided by the caller rather than by completion order.
+
+A CSV is written from its columns, each named once beside its values; a
+result record's fields are its CSV's columns (:func:`record_columns`).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import platform
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -29,22 +32,26 @@ def format_value(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, Enum):
-        return str(value.value)
     if value is None:
         return ""
     raise TypeError(f"no canonical CSV form for {type(value).__name__}")
 
 
-def write_csv(path, header, rows) -> Path:
+def write_csv(path, columns) -> Path:
+    """Write ``columns``, an ordered mapping of name to values; unequal lengths raise."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(columns)
+        for row in zip(*columns.values(), strict=True):
             writer.writerow([format_value(v) for v in row])
     return path
+
+
+def record_columns(cls, records) -> dict:
+    """The columns of dataclass ``cls``'s ``records``: one per field, in field order."""
+    return {f.name: [getattr(r, f.name) for r in records] for f in dataclasses.fields(cls)}
 
 
 def _json_default(obj):
@@ -56,8 +63,6 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, Enum):
-        return obj.value
     if isinstance(obj, Path):
         return str(obj)
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")

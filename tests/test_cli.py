@@ -108,6 +108,31 @@ def test_baseline_artifacts_and_manifest_hashes(run, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-len(wrote) :] == wrote
 
 
+# the header line of every CSV the CLI writes, by the run above that writes
+# it: a renamed or reordered record field would rename or move its column
+CSV_HEADERS = {
+    "ga": ("ga_generations.csv", "generation,best_fitness,mean_fitness"),
+    "dqn-train": ("dqn_episodes.csv", "episode,max_probability,epsilon,loss"),
+    "validate": ("validation.csv", "p,delta,mean_max_probability,std_max_probability,mean_fidelity,n_runs"),
+    "sweep": ("sweep.csv", "h,dt,max_probability,halt_reason,generations"),
+    "histogram": ("action_histogram.csv", "action_id,count,frequency"),
+    "scaling": (
+        "scaling.csv",
+        "n,best_max_probability,mean_max_probability,std_max_probability,n_seeds,best_fidelity",
+    ),
+    "baseline": ("baseline.csv", "step,time,probability"),
+    "hpo": ("hpo_trials.csv", "trial,gamma,learning_rate,hidden1,score,train_best"),
+}
+
+
+@pytest.mark.parametrize("run", list(CSV_HEADERS))
+def test_csv_header_is_pinned(run, tmp_path):
+    args, _, code = ARTIFACT_RUNS[run]
+    name, header = CSV_HEADERS[run]
+    assert main(args + ["--out", str(tmp_path)]) == code
+    assert (tmp_path / name).read_text().split("\n", 1)[0] == header
+
+
 def test_baseline_rows_and_peak(tmp_path):
     out = tmp_path / "out"
     assert main(["baseline", "--set", "chain.n=4", "--out", str(out)]) == 0

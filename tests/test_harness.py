@@ -361,7 +361,7 @@ def test_hyperparameter_search_samples_within_ranges(hpo_setup):
     result = hyperparameter_search(
         base, "site_by_site", SPEC3, RandomStream(13), HpoSettings(trials=3, val_runs=3, **ranges)
     )
-    assert [t.index for t in result.trials] == [0, 1, 2]
+    assert [t.trial for t in result.trials] == [0, 1, 2]
     for t in result.trials:
         assert 0.9 <= t.gamma <= 0.99
         assert 1e-4 <= t.learning_rate <= 1e-3
@@ -391,7 +391,7 @@ def test_hyperparameter_search_deterministic_and_worker_invariant(hpo_setup):
         assert (a.gamma, a.learning_rate, a.hidden1) == (b.gamma, b.learning_rate, b.hidden1)
         assert a.score == b.score
         assert a.train_best == b.train_best
-    assert results[0].best.index == results[1].best.index
+    assert results[0].best.trial == results[1].best.trial
 
 
 @pytest.mark.parametrize("bad", [{"val_runs": 0}, {"trials": 0}, {"val_runs": -2}, {"trials": -1}])

@@ -1,11 +1,12 @@
 import hashlib
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qst_control.ga import HaltReason
-from qst_control.reporting import format_value, sha256_file, write_csv, write_json, write_manifest
+from qst_control.reporting import format_value, record_columns, sha256_file, write_csv, write_json, write_manifest
 
 
 def test_format_value_floats_round_trip():
@@ -32,15 +33,30 @@ def test_format_value_other_types():
 
 def test_write_csv_exact_bytes(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b"), [(1, 0.5), (2, 0.25)])
+    write_csv(path, {"a": [1, 2], "b": [0.5, 0.25]})
     assert path.read_bytes() == b"a,b\n1,0.5\n2,0.25\n"
 
 
 def test_write_csv_rerun_is_byte_identical(tmp_path):
-    rows = [(i, i / 7, f"row{i}") for i in range(50)]
-    p1 = write_csv(tmp_path / "a.csv", ("i", "x", "name"), rows)
-    p2 = write_csv(tmp_path / "b.csv", ("i", "x", "name"), rows)
+    columns = {"i": range(50), "x": [i / 7 for i in range(50)], "name": [f"row{i}" for i in range(50)]}
+    p1 = write_csv(tmp_path / "a.csv", columns)
+    p2 = write_csv(tmp_path / "b.csv", columns)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", {"a": [1, 2], "b": [0.5]})
+
+
+def test_record_columns_name_every_field_without_a_record(tmp_path):
+    @dataclass
+    class Cell:
+        p: float
+        n_runs: int
+
+    assert record_columns(Cell, [Cell(0.5, 3), Cell(0.25, 4)]) == {"p": [0.5, 0.25], "n_runs": [3, 4]}
+    assert write_csv(tmp_path / "t.csv", record_columns(Cell, [])).read_bytes() == b"p,n_runs\n"
 
 
 def test_write_json_sorted_and_numpy_friendly(tmp_path):
@@ -63,7 +79,7 @@ def test_sha256_file(tmp_path):
 
 
 def test_write_manifest(tmp_path):
-    csv_path = write_csv(tmp_path / "data.csv", ("x",), [(1,)])
+    csv_path = write_csv(tmp_path / "data.csv", {"x": [1]})
     manifest_path = write_manifest(tmp_path, {"data": csv_path}, {"seed": 7, "mode": "ga"})
     manifest = json.loads(manifest_path.read_text())
     entry = manifest["artifacts"]["data"]
