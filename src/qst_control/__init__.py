@@ -6,7 +6,23 @@ The package is organised in three layers:
 * sequence optimizers (``ga`` for the genetic algorithm, ``dqn`` and ``qnet``
   for the deep Q-network),
 * experiment orchestration (``harness``, ``config``, ``reporting``, ``cli``).
+
+Importing the package pins OpenBLAS (and OpenMP) to one thread per process
+unless the variable is already set, so a value the user sets wins.  The
+pin must come before numpy loads: OpenBLAS reads it once, when it starts.
+It keeps every product's bits independent of the core count, and it leaves
+the second core to the step kernel's helper thread (``chain``).
 """
+
+import os
+import sys
+
+# OpenBLAS has already read its thread count if numpy loaded first unpinned
+_UNPINNED = "numpy" in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+# whether every BLAS call runs on the thread that makes it
+ONE_BLAS_THREAD = not _UNPINNED and os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 from .chain import (
     ChainSpec,

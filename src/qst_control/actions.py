@@ -116,7 +116,8 @@ class PropagatorCache:
 
     Everything downstream (GA fitness, DQN environment, validation
     rollouts) reads propagators from a cache.  Each design call builds its
-    own and shares it with everything inside it; HPO and the CLI's
+    own and shares it with everything inside it, unless handed one (the
+    histogram passes one to all its ``run_ga`` calls); HPO and the CLI's
     ``validate`` build one more to score with, which HPO's trial threads
     share.  The arrays are frozen to keep that sharing safe.
     """

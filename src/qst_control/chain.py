@@ -30,10 +30,15 @@ The figure of merit is the transmission probability ``P = |<n-1|psi>|^2``
 from __future__ import annotations
 
 import math
+import os
+import threading
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass
+from functools import partial
 
 import numpy as np
 
+from . import ONE_BLAS_THREAD
 from .bounds import NONNEGATIVE, POSITIVE, Checked, Range, bounded
 from .rng import RandomStream
 # chain no longer calls sample_noise_gate (_NoiseWalk reproduces its draws);
@@ -44,6 +49,17 @@ from .noise import NoiseModel, sample_noise_gate  # noqa: F401
 HERMITICITY_ATOL = 1e-12
 NOISE_BLOCK_STEPS = 16
 PLAN_CELLS = 4096  # (step, row) cells that one sort of a schedule groups
+# complex multiply-adds of one step (rows x n x n) from which the step kernel
+# shares it with its helper thread (measured break-even points).  A grouped
+# step makes one product per action, and each hands the GIL between the two
+# threads, so it needs more work to pay than a shared step's one product
+SPLIT_WORK, SPLIT_GROUPED_WORK = 1 << 18, 1 << 20
+
+# the step kernel hands work to a helper thread only where each BLAS call
+# runs on the thread that makes it and a second CPU can take the helper
+KERNEL_SPLIT = ONE_BLAS_THREAD and (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) >= 2
 
 
 @dataclass(frozen=True)
@@ -239,8 +255,10 @@ class _NoiseWalk:
         self.windows = np.lib.stride_tricks.sliding_window_view(self.buf, n, axis=1)
         self.starts = np.arange(len(keys)) * self.block
 
-    def apply(self, states: np.ndarray) -> None:
-        """Draw one step's gates and dephase the active rows of ``states`` in place."""
+    def draw(self):
+        """Draw one step's gates: the active rows and their phases, or None.
+
+        Reads no state, so it can run while the step's products do."""
         due = np.nonzero(self.pos > self.block - (self.n + 1))[0]
         if due.size:
             inner = self.state["state"]
@@ -256,17 +274,98 @@ class _NoiseWalk:
         zeta = self.flat[at]
         self.pos += 1
         active = np.nonzero(zeta < self.p)[0]
-        if active.size:
-            # the phase variates follow the activation one; cos + i sin gives exp(1j * delta * xi)
-            xi = self.windows[active, self.pos[active]]
-            xi *= 2.0
-            xi -= 1.0
-            xi *= self.delta[active, None]
-            gate = np.empty(xi.shape, dtype=complex)
-            np.cos(xi, out=gate.real)
-            np.sin(xi, out=gate.imag)
-            self.pos[active] += self.n
-            states[active] = gate * states[active]
+        if not active.size:
+            return None
+        # the phase variates follow the activation one; cos + i sin gives exp(1j * delta * xi)
+        xi = self.windows[active, self.pos[active]]
+        xi *= 2.0
+        xi -= 1.0
+        xi *= self.delta[active, None]
+        gate = np.empty(xi.shape, dtype=complex)
+        np.cos(xi, out=gate.real)
+        np.sin(xi, out=gate.imag)
+        self.pos[active] += self.n
+        return active, gate
+
+    def apply(self, states: np.ndarray) -> None:
+        """Draw one step's gates and dephase the active rows of ``states`` in place."""
+        _dephase(states, self.draw())
+
+
+def _dephase(states: np.ndarray, gates) -> None:
+    if gates is not None:
+        active, gate = gates
+        states[active] = gate * states[active]
+
+
+class _Helper:
+    """One daemon thread that runs a task beside its caller.
+
+    ``np.dot`` releases the GIL while BLAS runs (``np.matmul`` on 2-D
+    operands does not), so the helper's products and the caller's run on
+    two CPUs at once.
+    """
+
+    def __init__(self) -> None:
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.task = self.result = self.error = None
+        threading.Thread(target=self._serve, name="qst-control-step", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self.go.acquire()
+            try:
+                self.result = self.task()
+            except BaseException as exc:  # noqa: BLE001 - raised again in the caller
+                self.error = exc
+            self.done.release()
+
+    def run(self, task, own):
+        """Run ``task`` on the helper and ``own`` here; both results once both are done."""
+        self.task = task
+        self.go.release()
+        try:
+            mine = own()
+        finally:
+            try:
+                self.done.acquire()
+            except BaseException:
+                _forget_helper()  # interrupted while the task runs: later steps start a new helper
+                raise
+        result, error = self.result, self.error
+        self.task = self.result = self.error = None
+        if error is not None:
+            raise error
+        return result, mine
+
+
+_helper: _Helper | None = None
+
+
+def _step_helper() -> _Helper | None:
+    """The process's helper thread, started on first use.
+
+    None off the main thread: the threads of ``harness.run_jobs`` and a
+    library user's own threads step serially, so threads never nest and
+    no two callers share the helper.
+    """
+    global _helper
+    if not KERNEL_SPLIT or threading.current_thread() is not threading.main_thread():
+        return None
+    if _helper is None:
+        _helper = _Helper()
+    return _helper
+
+
+def _forget_helper() -> None:
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)  # a forked child has no helper thread
 
 
 @dataclass(frozen=True)
@@ -309,23 +408,49 @@ def _plan(cols: np.ndarray, n_actions: int, tags, order: np.ndarray) -> list:
     return [acts[a] if b - a == 1 else (order[t], starts[a:b], acts[a:b]) for t, (a, b) in enumerate(zip(ends, ends[1:]))]
 
 
-def _apply_actions(states: np.ndarray, unitaries: np.ndarray, ut, step) -> np.ndarray:
-    """One step of a :func:`_plan`: U[a] on every row that takes action a.
+def _step_rows(blocks, states: np.ndarray, out: np.ndarray, order, ut, work: np.ndarray) -> None:
+    """Gather, multiply and scatter back the rows of a run of whole blocks."""
+    lo, hi = blocks[0][0], blocks[-1][1]
+    gathered, product = work
+    np.take(states, order[lo:hi], axis=0, out=gathered[lo:hi], mode="clip")
+    for a, b, k in blocks:
+        np.dot(gathered[a:b], ut[k], out=product[a:b])
+    out[order[lo:hi]] = product[lo:hi]
+
+
+def _apply_actions(states: np.ndarray, out: np.ndarray, unitaries: np.ndarray, ut, step, work, helper=None) -> None:
+    """One step of a :func:`_plan` into ``out``: U[a] on every row that takes action a.
 
     A step all rows share is ``states @ U[a].T`` on the transposed view, for
     one row bit for bit ``U[a] @ psi``.  Otherwise the rows are gathered in
-    plan order, each block is multiplied by the contiguous ``ut[a] = U[a].T``
-    and the rows are scattered back.  ``states`` may be overwritten.
+    plan order into ``work[0]``, each block is multiplied by the contiguous
+    ``ut[a] = U[a].T`` into ``work[1]`` and the rows are scattered back.
+
+    Every product is an ``np.dot``, bit for bit ``np.matmul``'s.  Given a
+    ``helper``, it takes a shared step's second row half, when each half
+    has two rows or more, or the gather, products and scatter of the blocks
+    that start past the row midpoint.  As a product of two rows or more
+    gives a row the same bits at any row count, neither split moves a bit.
     """
     if isinstance(step, int):
-        return states @ unitaries[step].T
+        u, half = unitaries[step].T, len(states) // 2
+        if helper is None or half < 2:
+            np.dot(states, u, out=out)
+        else:
+            helper.run(partial(np.dot, states[half:], u, out[half:]), partial(np.dot, states[:half], u, out[:half]))
+        return
     order, starts, acts = step
-    grouped = states[order]
-    # states is free now and takes the products in sorted order
-    for lo, hi, k in zip(starts, starts[1:] + [len(order)], acts):
-        np.matmul(grouped[lo:hi], ut[k], out=states[lo:hi])
-    grouped[order] = states
-    return grouped
+    blocks = list(zip(starts, starts[1:] + [len(order)], acts))
+    if not blocks:
+        return  # no rows
+    cut = bisect_left(starts, len(order) / 2) if helper is not None else len(blocks)
+    if cut < len(blocks):
+        helper.run(
+            partial(_step_rows, blocks[cut:], states, out, order, ut, work),
+            partial(_step_rows, blocks[:cut], states, out, order, ut, work),
+        )
+    else:
+        _step_rows(blocks, states, out, order, ut, work)
 
 
 def evolve_lockstep(
@@ -364,6 +489,12 @@ def evolve_lockstep(
     with one sort per ``PLAN_CELLS // R`` steps, a policy's every step
     (:func:`_plan`).  Each step applies one matrix product per group
     (:func:`_apply_actions`); probabilities are recorded after its gate.
+
+    From ``SPLIT_WORK`` complex multiply-adds a step (R n^2; a grouped
+    step: ``SPLIT_GROUPED_WORK``), a call from the main thread shares each
+    step with one helper thread where ``KERNEL_SPLIT`` allows: a clean
+    step splits its products in two, and a noisy step's products run on
+    the helper while this thread draws the step's gates.  No bit moves.
     """
     n_actions, n = unitaries.shape[0], unitaries.shape[1]
     policy = actions if callable(actions) else None
@@ -387,9 +518,13 @@ def evolve_lockstep(
         walk = _NoiseWalk(noise, n, rngs)
     states = np.zeros((n_runs, n), dtype=complex)
     states[:, 0] = 1.0
+    out = np.empty_like(states)
     # rows can take different actions only under a 2-D schedule or a policy
     shared = policy is None and actions.ndim == 1
-    ut = unitaries.transpose(0, 2, 1).copy() if n_runs > 1 and not shared else None
+    ut, work = None, None
+    if n_runs > 1 and not shared:
+        ut, work = unitaries.transpose(0, 2, 1).copy(), np.empty((2, n_runs, n), dtype=complex)
+    helper = _step_helper() if n_runs * n * n >= (SPLIT_WORK if shared else SPLIT_GROUPED_WORK) else None
     taken = np.broadcast_to(actions, (n_runs, n_steps)) if policy is None else np.empty((n_runs, n_steps), np.int64)
     # a shared schedule is its own plan, a policy plans one step at a time; one
     # buffer takes every block's row order (fresh ones per block read more peak RSS)
@@ -401,9 +536,16 @@ def evolve_lockstep(
             taken[:, t] = policy(states)
         if t % block == 0:
             plan = actions.tolist() if shared else _plan(taken[:, t : t + block], n_actions, tags, order)
-        states = _apply_actions(states, unitaries, ut, plan[t % block])
-        if walk is not None:
-            walk.apply(states)
+        step = plan[t % block]
+        if walk is not None and helper is not None:
+            # the gates do not read the states: draw them while the helper multiplies
+            _, gates = helper.run(partial(_apply_actions, states, out, unitaries, ut, step, work), walk.draw)
+            _dephase(out, gates)
+        else:
+            _apply_actions(states, out, unitaries, ut, step, work, helper)
+            if walk is not None:
+                walk.apply(out)
+        states, out = out, states
         probs[:, t] = np.abs(states[:, -1]) ** 2
     return Rollouts(actions=taken, probabilities=probs)
 

@@ -35,7 +35,7 @@ from .harness import (
     sweep_h_dt,
     validate_controller,
 )
-from .reporting import environment_versions, record_columns, write_csv, write_json, write_manifest
+from .reporting import environment_versions, machine_facts, record_columns, write_csv, write_json, write_manifest
 from .rng import RandomStream
 
 _WORKERS_HELP = "threads for scaling lengths, sweep cells and HPO trials; every other mode ignores it"
@@ -361,6 +361,7 @@ def main(argv=None) -> int:
             "seed": config.seed,
             "config": config.resolved,
             "versions": environment_versions(),
+            "machine": machine_facts(),
             "wall_time": time.perf_counter() - t0,
             **meta,
         }

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .actions import ActionSet, build_cache
+from .actions import ActionSet, PropagatorCache, build_cache
 from .bounds import COUNT, UNIT, Checked, Range, bounded
 from .chain import ChainSpec, evolve_population
 from .rng import RandomStream, as_stream
@@ -383,9 +383,10 @@ def run_ga(
     action_set: ActionSet,
     spec: ChainSpec,
     seed: "int | RandomStream" = 0,
+    cache: PropagatorCache | None = None,
 ) -> GaRunRecord:
     """Run the genetic optimizer until target, saturation, or the cap: :func:`run_ga_lockstep` of one seed."""
-    (record,) = run_ga_lockstep(config, action_set, spec, [seed])
+    (record,) = run_ga_lockstep(config, action_set, spec, [seed], cache)
     return record
 
 
@@ -394,6 +395,7 @@ def run_ga_lockstep(
     action_set: ActionSet,
     spec: ChainSpec,
     seeds=(0,),
+    cache: PropagatorCache | None = None,
 ) -> list[GaRunRecord]:
     """One optimizer run per seed, all seeds stepped a generation at a time.
 
@@ -412,12 +414,13 @@ def run_ga_lockstep(
     Each seed (int or RandomStream) keeps its own generator, operators and
     halting; the offspring of the seeds still running are evaluated as one
     stack tagged by seed (:func:`evolve_population`), so every record is bit
-    for bit the seed's run alone.
+    for bit the seed's run alone.  ``cache`` is ``build_cache(action_set,
+    spec)``, built here when not given.
     """
     gens = [as_stream(seed).generator() for seed in seeds]
     if not gens:
         raise ValueError("seeds must name at least one seed, got none")
-    cache = build_cache(action_set, spec)
+    cache = build_cache(action_set, spec) if cache is None else cache
     mutated_genes = config.mutated_genes if config.mutated_genes is not None else spec.n
 
     genes = [init_population(config, action_set, spec.n_steps, gen).genes for gen in gens]

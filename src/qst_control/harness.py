@@ -8,7 +8,10 @@ fixed tag scheme (one tag per study kind, then the job's own indices), so
 * reruns with the same seed reproduce byte-identical artifacts.
 
 ``workers`` threads run independent jobs: chain lengths, sweep cells and
-HPO trials; a lone job runs in the calling thread.  The seeds of one
+HPO trials; a lone job runs in the calling thread.  The package pins BLAS
+to one thread per process (``qst_control``), and the step kernel shares a
+large step with a helper thread only when called from the main thread, so
+pool threads step serially and threads never nest.  The seeds of one
 length run in lock-step in one thread (:func:`ga.run_ga_lockstep`): two GA
 seeds at n=16 took 1.46 s on two threads and 1.13 s in lock-step (median
 design times).  The histogram runs its seeds one at a time, so it never
@@ -440,11 +443,12 @@ def action_histogram(
     is truncated to the quota in population order.
     """
     action_set = make_action_set(set_kind, spec.n, spec.field_strength)
+    cache = build_cache(action_set, spec)  # one for every run
     counts = np.zeros(len(action_set), dtype=np.int64)
     seen: set[bytes] = set()
     runs_used = 0
     while runs_used < settings.max_runs and len(seen) < settings.n_sequences:
-        pop = run_ga(config, action_set, spec, seed=stream.substream(TAG_HISTOGRAM, runs_used)).final_population
+        pop = run_ga(config, action_set, spec, stream.substream(TAG_HISTOGRAM, runs_used), cache).final_population
         runs_used += 1
         for i in np.nonzero(pop.fitness >= settings.threshold)[0]:
             key = pop.genes[i].tobytes()

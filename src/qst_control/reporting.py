@@ -16,10 +16,14 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 from pathlib import Path
 
 import numpy as np
+
+from . import ONE_BLAS_THREAD
+from .chain import KERNEL_SPLIT
 
 
 def format_value(value) -> str:
@@ -117,4 +121,23 @@ def environment_versions() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+    }
+
+
+def machine_facts() -> dict:
+    """What a run's speed, and the DQN's bits at large widths, depend on.
+
+    The BLAS thread variables as the process sees them, whether the pin
+    acted (numpy did not load first, unpinned), the CPUs, the BLAS library,
+    and whether the step kernel may use its helper thread.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "one_blas_thread": ONE_BLAS_THREAD,
+        "cpu_count": os.cpu_count(),
+        "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "kernel_split": KERNEL_SPLIT,
     }

@@ -108,6 +108,19 @@ def test_baseline_artifacts_and_manifest_hashes(run, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-len(wrote) :] == wrote
 
 
+def test_manifest_records_the_threads_and_the_machine(tmp_path):
+    assert main(["baseline", "--set", "chain.n=4", "--out", str(tmp_path)]) == 0
+    machine = read_manifest(tmp_path)["machine"]
+    # conftest.py pins one BLAS thread before numpy loads
+    assert machine["OPENBLAS_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert machine["OMP_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"]
+    assert machine["one_blas_thread"] is True
+    assert machine["cpu_count"] == os.cpu_count()
+    assert machine["affinity"] == sorted(os.sched_getaffinity(0))
+    assert machine["kernel_split"] == (len(machine["affinity"]) >= 2)
+    assert set(machine["blas"]) == {"name", "version"}
+
+
 # the header line of every CSV the CLI writes, by the run above that writes
 # it: a renamed or reordered record field would rename or move its column
 CSV_HEADERS = {

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from qst_control import harness
+from qst_control import ga, harness
 from qst_control.actions import build_cache, make_action_set
 from qst_control.chain import ChainSpec, averaged_fidelity, evolve_sequence
 from qst_control.dqn import DqnConfig, greedy_rollout
@@ -305,9 +305,9 @@ def test_action_histogram_runs_one_seed_at_a_time(monkeypatch):
     # a quota the first run fills must not start a second run
     seeds = []
 
-    def spy_run_ga(config, action_set, spec, seed):
+    def spy_run_ga(config, action_set, spec, seed, cache):
         seeds.append(seed)
-        return run_ga(config, action_set, spec, seed=seed)
+        return run_ga(config, action_set, spec, seed=seed, cache=cache)
 
     monkeypatch.setattr(harness, "run_ga", spy_run_ga)
     settings = HistogramSettings(n_sequences=2, threshold=0.0, max_runs=6)
@@ -315,6 +315,21 @@ def test_action_histogram_runs_one_seed_at_a_time(monkeypatch):
     assert hist.complete
     assert hist.n_runs_used == 1
     assert seeds == [RandomStream(11).substream(harness.TAG_HISTOGRAM, 0)]
+
+
+def test_action_histogram_builds_one_cache_for_all_its_runs(monkeypatch):
+    builds = []
+
+    def counting_build(action_set, spec):
+        builds.append(spec)
+        return build_cache(action_set, spec)
+
+    monkeypatch.setattr(harness, "build_cache", counting_build)
+    monkeypatch.setattr(ga, "build_cache", counting_build)
+    settings = HistogramSettings(n_sequences=50, threshold=1.0, max_runs=3)
+    hist = action_histogram(TINY_GA, "site_by_site", SPEC3, RandomStream(12), settings)
+    assert hist.n_runs_used == 3
+    assert builds == [SPEC3]
 
 
 def test_action_histogram_reports_incomplete_harvest():

@@ -100,3 +100,25 @@ def test_every_import_is_used():
         unused += [f"{module}: {name}" for name in _imported_names(tree) if name not in used]
     # chain re-exports the noise gate: the benchmark's tracer looks it up there
     assert unused == ["chain.py: sample_noise_gate"]
+
+
+def test_the_package_pins_blas_threads_before_numpy_can_load():
+    # OpenBLAS reads its thread count once, when numpy loads: a reordered
+    # __init__.py that imports first would drop the pin without an error
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    pinned = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import) and {alias.name for alias in stmt.names} <= {"os", "sys"}:
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", None) != "__future__":
+            break  # the first import that can load numpy
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if (
+            isinstance(call, ast.Call)
+            and ast.unparse(call.func) == "os.environ.setdefault"
+            and [ast.literal_eval(arg) for arg in call.args][1:] == ["1"]
+        ):
+            pinned.add(ast.literal_eval(call.args[0]))
+    else:
+        raise AssertionError("__init__.py imports nothing after the pin")
+    assert pinned == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
