@@ -334,8 +334,8 @@ class _Helper:
             except BaseException:
                 _forget_helper()  # interrupted while the task runs: later steps start a new helper
                 raise
-        result, error = self.result, self.error
-        self.task = self.result = self.error = None
+            result, error = self.result, self.error
+            self.task = self.result = self.error = None
         if error is not None:
             raise error
         return result, mine

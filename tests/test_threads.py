@@ -148,9 +148,16 @@ def test_the_helper_raises_its_task_error_in_the_caller_and_keeps_serving():
     def fail():
         raise ZeroDivisionError("task")
 
+    def fail_too():
+        raise KeyError("own")
+
     with pytest.raises(ZeroDivisionError, match="task"):
         helper.run(fail, lambda: None)
     assert helper.run(lambda: 1, lambda: 2) == (1, 2)
+    # the caller's own error wins, and the task's is not left for the next run
+    with pytest.raises(KeyError, match="own"):
+        helper.run(fail, fail_too)
+    assert helper.run(lambda: 3, lambda: 4) == (3, 4)
 
 
 def test_threads_of_run_jobs_never_start_a_second_level(monkeypatch):
