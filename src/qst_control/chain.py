@@ -50,9 +50,10 @@ HERMITICITY_ATOL = 1e-12
 NOISE_BLOCK_STEPS = 16
 PLAN_CELLS = 4096  # (step, row) cells that one sort of a schedule groups
 # complex multiply-adds of one step (rows x n x n) from which the step kernel
-# shares it with its helper thread (measured break-even points).  A grouped
+# shares it with its helper thread (measured break-even points): a noisy
+# shared step hands over its one product while the gates are drawn; a grouped
 # step makes one product per action, and each hands the GIL between the two
-# threads, so it needs more work to pay than a shared step's one product
+# threads, so it needs more work to pay
 SPLIT_WORK, SPLIT_GROUPED_WORK = 1 << 18, 1 << 20
 
 # the step kernel hands work to a helper thread only where each BLAS call
@@ -379,31 +380,23 @@ class Rollouts:
         return Trajectory(probabilities=self.probabilities[run], dt=dt)
 
 
-def _plan(cols: np.ndarray, n_actions: int, tags, order: np.ndarray) -> list:
+def _plan(cols: np.ndarray, n_actions: int, order: np.ndarray) -> list:
     """Group the rows of an (R, T) block of steps by action, with one sort.
 
     Step t's entry is its action when every row takes it, else ``(order[t],
-    starts, actions)``: the rows in stable key order, held in ``order``, and
-    each block's first position and action.  A row's key is its action; the
-    row of a one-row (tag, action) class keys as ``n_actions * (1 + tag) +
-    action``, unique and below ``n_actions * (n_tags + 1)``, so keys fit the
-    narrowest unsigned dtype, whose stable sort is a radix sort.  A product
-    of two rows or more gives a row the same bits at any row count, a one-row
-    product another BLAS path, so each tag batch keeps its solo blocks at any T.
+    starts, actions)``: the rows in stable action order, held in ``order``,
+    and each block's first position and action.  The actions fit the
+    narrowest unsigned dtype, whose stable sort is a radix sort.  Each
+    step's grouping is its own, so which steps share a sort moves no bit.
     """
     n_rows, n_steps = cols.shape
-    span = 0 if tags is None else n_actions * (tags.max(initial=0) + 1)  # (tag, action) classes
-    key = cols.T.astype(np.min_scalar_type(span + n_actions - 1))
-    if tags is not None:
-        cls = (tags * n_actions).astype(key.dtype) + key
-        flat = cls + np.arange(0, n_steps * span, span)[:, None]
-        np.add(cls, n_actions, out=key, where=(np.bincount(flat.ravel()) == 1)[flat])
+    key = cols.T.astype(np.min_scalar_type(n_actions - 1))
     order[:n_steps] = key.argsort(axis=1, kind="stable")
     key.sort(axis=1, kind="stable")  # key[order], and cheaper than that gather
     edge = np.ones(key.shape, dtype=bool)
     np.not_equal(key[:, 1:], key[:, :-1], out=edge[:, 1:])
     at = np.flatnonzero(edge)  # each block's first cell
-    acts, starts = (key.ravel()[at] % n_actions).tolist(), (at % n_rows).tolist()
+    acts, starts = key.ravel()[at].tolist(), (at % n_rows).tolist()
     ends = [0] + at.searchsorted(np.arange(1, n_steps + 1) * n_rows).tolist()
     return [acts[a] if b - a == 1 else (order[t], starts[a:b], acts[a:b]) for t, (a, b) in enumerate(zip(ends, ends[1:]))]
 
@@ -421,23 +414,17 @@ def _step_rows(blocks, states: np.ndarray, out: np.ndarray, order, ut, work: np.
 def _apply_actions(states: np.ndarray, out: np.ndarray, unitaries: np.ndarray, ut, step, work, helper=None) -> None:
     """One step of a :func:`_plan` into ``out``: U[a] on every row that takes action a.
 
-    A step all rows share is ``states @ U[a].T`` on the transposed view, for
-    one row bit for bit ``U[a] @ psi``.  Otherwise the rows are gathered in
-    plan order into ``work[0]``, each block is multiplied by the contiguous
-    ``ut[a] = U[a].T`` into ``work[1]`` and the rows are scattered back.
-
-    Every product is an ``np.dot``, bit for bit ``np.matmul``'s.  Given a
-    ``helper``, it takes a shared step's second row half, when each half
-    has two rows or more, or the gather, products and scatter of the blocks
-    that start past the row midpoint.  As a product of two rows or more
-    gives a row the same bits at any row count, neither split moves a bit.
+    A step all rows share is one ``states @ U[a].T`` on the transposed view,
+    for one row bit for bit ``U[a] @ psi``.  Otherwise the rows are gathered
+    in plan order into ``work[0]``, each block is multiplied by the
+    contiguous ``ut[a] = U[a].T`` into ``work[1]`` and the rows are
+    scattered back.  Every product is an ``np.dot``, bit for bit
+    ``np.matmul``'s.  Given a ``helper``, a grouped step hands it the
+    gather, products and scatter of the blocks that start past the row
+    midpoint: the same products, so no bit moves on any BLAS kernel.
     """
     if isinstance(step, int):
-        u, half = unitaries[step].T, len(states) // 2
-        if helper is None or half < 2:
-            np.dot(states, u, out=out)
-        else:
-            helper.run(partial(np.dot, states[half:], u, out[half:]), partial(np.dot, states[:half], u, out[:half]))
+        np.dot(states, unitaries[step].T, out=out)
         return
     order, starts, acts = step
     blocks = list(zip(starts, starts[1:] + [len(order)], acts))
@@ -459,7 +446,6 @@ def evolve_lockstep(
     n_steps: int,
     noise: NoiseModel | list[NoiseModel] | None = None,
     rngs=None,
-    tags=None,
 ) -> Rollouts:
     """Step R runs of the chain together, one control step at a time.
 
@@ -479,10 +465,6 @@ def evolve_lockstep(
         per run, and one RandomStream per run, or their (R, 2) keys
         (:meth:`RandomStream.substream_keys`).  Run r's realization depends
         on ``rngs[r]`` and its own model alone; see :class:`_NoiseWalk`.
-    tags:
-        Optional (R,) nonnegative ints: stacked batches of two rows or more,
-        each stepped bit for bit as alone.  A shared (L,) schedule takes one
-        product for every row, which needs no tags.
 
     The number of runs R is ``len(rngs)`` when given, else the number of
     schedule rows, else 1.  An (R, L) schedule's rows are grouped by action
@@ -490,11 +472,18 @@ def evolve_lockstep(
     (:func:`_plan`).  Each step applies one matrix product per group
     (:func:`_apply_actions`); probabilities are recorded after its gate.
 
-    From ``SPLIT_WORK`` complex multiply-adds a step (R n^2; a grouped
-    step: ``SPLIT_GROUPED_WORK``), a call from the main thread shares each
-    step with one helper thread where ``KERNEL_SPLIT`` allows: a clean
-    step splits its products in two, and a noisy step's products run on
-    the helper while this thread draws the step's gates.  No bit moves.
+    From ``SPLIT_GROUPED_WORK`` complex multiply-adds a step (R n^2; a
+    shared schedule's noisy step: ``SPLIT_WORK``), a call from the main
+    thread shares each step with one helper thread where ``KERNEL_SPLIT``
+    allows: a clean grouped step splits its blocks in two, and a noisy
+    step's products run on the helper while this thread draws its gates.
+    A clean shared step is one product, on this thread.
+
+    Bits: one run is the scalar loop ``psi = U[a] @ psi``, and no split or
+    plan block moves a bit, so reruns give identical bytes.  A stacked run
+    agrees with itself alone to roundoff (about 1e-15), not bit for bit: a
+    row's bits depend on the rows sharing its products (a one-row product
+    takes another BLAS path; AVX2 kernels compute whole 6-row tiles apart).
     """
     n_actions, n = unitaries.shape[0], unitaries.shape[1]
     policy = actions if callable(actions) else None
@@ -508,9 +497,6 @@ def evolve_lockstep(
         raise ValueError(
             f"actions must have shape ({n_steps},) or ({n_runs}, {n_steps}), got {actions.shape}"
         )
-    tags = None if tags is None else np.asarray(tags, dtype=np.int64)
-    if tags is not None and (tags.shape != (n_runs,) or np.any(tags < 0) or np.any(np.bincount(tags) == 1)):
-        raise ValueError(f"tags must be {n_runs} nonnegative integers, each on two rows or more, got {tags}")
     walk = None
     if noise is not None:
         if rngs is None:
@@ -524,7 +510,9 @@ def evolve_lockstep(
     ut, work = None, None
     if n_runs > 1 and not shared:
         ut, work = unitaries.transpose(0, 2, 1).copy(), np.empty((2, n_runs, n), dtype=complex)
-    helper = _step_helper() if n_runs * n * n >= (SPLIT_WORK if shared else SPLIT_GROUPED_WORK) else None
+    # a shared step is one product: only a noisy one has the gate draw to overlap
+    limit = SPLIT_GROUPED_WORK if not shared else SPLIT_WORK if walk is not None else None
+    helper = _step_helper() if limit is not None and n_runs * n * n >= limit else None
     taken = np.broadcast_to(actions, (n_runs, n_steps)) if policy is None else np.empty((n_runs, n_steps), np.int64)
     # a shared schedule is its own plan, a policy plans one step at a time; one
     # buffer takes every block's row order (fresh ones per block read more peak RSS)
@@ -535,7 +523,7 @@ def evolve_lockstep(
         if policy is not None:
             taken[:, t] = policy(states)
         if t % block == 0:
-            plan = actions.tolist() if shared else _plan(taken[:, t : t + block], n_actions, tags, order)
+            plan = actions.tolist() if shared else _plan(taken[:, t : t + block], n_actions, order)
         step = plan[t % block]
         if walk is not None and helper is not None:
             # the gates do not read the states: draw them while the helper multiplies
@@ -584,19 +572,18 @@ def evolve_sequence(
     return run.trajectory(0, cache.dt)
 
 
-def evolve_population(genes: np.ndarray, cache, tags=None) -> np.ndarray:
+def evolve_population(genes: np.ndarray, cache) -> np.ndarray:
     """Noise-free trajectory maxima of a (B, L) batch of action sequences.
 
     The clean case of :func:`evolve_lockstep`, which updates the rows that
     take one action with a single matrix product; that is what makes
     population-scale fitness evaluation cheap.  ``cache`` is as in
-    :func:`evolve_sequence`, and ``tags`` as in :func:`evolve_lockstep`.
-    Returns a (B,) array, zeros when L = 0.
+    :func:`evolve_sequence`.  Returns a (B,) array, zeros when L = 0.
     """
     genes = np.asarray(genes, dtype=np.int64)
     if genes.ndim != 2:
         raise ValueError(f"genes must be a (B, L) matrix, got shape {genes.shape}")
-    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1], tags=tags)
+    run = evolve_lockstep(cache.unitaries, genes, genes.shape[1])
     return run.probabilities.max(axis=1, initial=0.0)
 
 

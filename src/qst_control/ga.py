@@ -186,13 +186,10 @@ class GaRunRecord:
 
 
 def _evaluate(batches, cache):
-    """Fitness of each seed's batch, stepped as one stack when every batch
-    has two rows or more (a tag batch needs two), else one at a time."""
-    sizes = [len(b) for b in batches]
-    if len(batches) == 1 or min(sizes) < 2:
-        return [evolve_population(b, cache) for b in batches]
-    fit = evolve_population(np.concatenate(batches), cache, np.repeat(np.arange(len(batches)), sizes))
-    return np.split(fit, np.cumsum(sizes)[:-1])
+    """Fitness of each seed's batch, all stepped as one stack."""
+    genes = batches[0] if len(batches) == 1 else np.concatenate(batches)  # a lone batch needs no copy
+    fit = evolve_population(genes, cache)
+    return np.split(fit, np.cumsum([len(b) for b in batches])[:-1])
 
 
 def _halt_reason(config: GaConfig, best_hist: list, generation: int) -> HaltReason | None:
@@ -413,8 +410,11 @@ def run_ga_lockstep(
 
     Each seed (int or RandomStream) keeps its own generator, operators and
     halting; the offspring of the seeds still running are evaluated as one
-    stack tagged by seed (:func:`evolve_population`), so every record is bit
-    for bit the seed's run alone.  ``cache`` is ``build_cache(action_set,
+    stack (:func:`evolve_population`).  So a record is the same bytes on
+    every rerun of the same seeds, and each fitness is the seed's run alone
+    to roundoff (about 1e-15; see :func:`evolve_lockstep`), not bit for bit:
+    where that roundoff breaks a near tie in selection, a stacked seed's run
+    can part from its run alone.  ``cache`` is ``build_cache(action_set,
     spec)``, built here when not given.
     """
     gens = [as_stream(seed).generator() for seed in seeds]

@@ -4,7 +4,7 @@ Every study derives per-job random streams from one root stream through a
 fixed tag scheme (one tag per study kind, then the job's own indices), so
 
 * results are independent of worker count and completion order,
-* adding a chain length or a grid cell never perturbs the others,
+* adding a chain length or a grid cell never changes another's random draws,
 * reruns with the same seed reproduce byte-identical artifacts.
 
 ``workers`` threads run independent jobs: chain lengths, sweep cells and
@@ -18,11 +18,9 @@ design times).  The histogram runs its seeds one at a time, so it never
 runs a seed its quota did not need.  Validation stacks the runs of
 several grid cells into one lock-step batch and ignores ``workers``: two
 such batches on two threads lost to one call.  No stack depends on
-``workers``.  One sort per block of steps groups a stack, keying a one-row
-(batch, action) class as a block alone; as a product of two rows or more
-gives a row the same bits at any row count, each batch of two rows or more
-keeps its solo bits.  So a generation with a seed of under two offspring
-steps its seeds one at a time, and at one run a cell each cell steps alone.
+``workers``.  A stacked seed or cell matches its run alone to roundoff, not
+bit for bit (:func:`chain.evolve_lockstep`), so adding a seed or a cell can
+move another's last bits, and through a near tie a GA seed's run.
 """
 
 from __future__ import annotations
@@ -330,11 +328,11 @@ def validate_controller(
 
     Cell statistics are over ``n_runs`` independent noise realizations;
     run r of cell c draws from substream (tag, c, r), so every cell and
-    every run is reproducible in isolation.  The runs of up to
-    ``SCHEDULE_ROWS`` (a policy: ``POLICY_ROWS``) rows of whole noisy
-    cells are stepped in lock-step as one batch, each run under its cell's
-    noise level and tagged by cell, so every run is bit for bit the one
-    its cell gives stepped alone; at one run a cell, each cell steps alone.
+    every run's noise realization is reproducible in isolation.  The runs
+    of up to ``SCHEDULE_ROWS`` (a policy: ``POLICY_ROWS``) rows of whole
+    noisy cells are stepped in lock-step as one batch, each run under its
+    cell's noise level; a run agrees with its cell stepped alone to
+    roundoff (:func:`evolve_lockstep`), and with itself on every rerun.
     Cells with p = 0 or delta = 0 are noiseless: every run is the clean
     rollout, computed once, whose maximum the report keeps, noiseless cell
     or not.  The reported std is the population spread (ddof 0) of the
@@ -355,12 +353,11 @@ def validate_controller(
     noisy = [c for c, m in enumerate(models) if m.p > 0.0 and m.delta > 0.0]
     actions = controller.actions()
     rows = POLICY_ROWS if callable(actions) else SCHEDULE_ROWS
-    per_call = max(1, rows // n_runs) if n_runs > 1 else 1  # a tag batch needs two rows
+    per_call = max(1, rows // n_runs)
     for chunk in (noisy[i : i + per_call] for i in range(0, len(noisy), per_call)):
         keys = np.concatenate([stream.substream_keys(TAG_VALIDATION, c, count=n_runs) for c in chunk])
         noise = [models[c] for c in chunk for _ in range(n_runs)]
-        tags = None if len(chunk) == 1 else np.repeat(np.arange(len(chunk)), n_runs)
-        run = evolve_lockstep(cache.unitaries, actions, n_steps, noise, keys, tags=tags)
+        run = evolve_lockstep(cache.unitaries, actions, n_steps, noise, keys)
         per_run[chunk] = run.probabilities.max(axis=1).reshape(len(chunk), n_runs)
     cells = []
     for c, (p, d) in enumerate(grid):

@@ -13,6 +13,7 @@ result record's fields are its CSV's columns (:func:`record_columns`).
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -124,12 +125,24 @@ def environment_versions() -> dict:
     }
 
 
+def _blas_corename() -> str | None:
+    """The kernel numpy's OpenBLAS runs (``OPENBLAS_CORETYPE`` overrides it), or None if unreadable."""
+    try:
+        (lib,) = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+        get = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    except (ValueError, OSError, AttributeError):  # no such library, or not one alone; no such call
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    name = get()
+    return name.decode() if name else None
+
+
 def machine_facts() -> dict:
-    """What a run's speed, and the DQN's bits at large widths, depend on.
+    """What a run's speed, and its bits, depend on.
 
     The BLAS thread variables as the process sees them, whether the pin
-    acted (numpy did not load first, unpinned), the CPUs, the BLAS library,
-    and whether the step kernel may use its helper thread.
+    acted (numpy did not load first, unpinned), the CPUs, the BLAS library
+    and its kernel, and whether the step kernel may use its helper thread.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -138,6 +151,6 @@ def machine_facts() -> dict:
         "one_blas_thread": ONE_BLAS_THREAD,
         "cpu_count": os.cpu_count(),
         "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), "corename": _blas_corename()},
         "kernel_split": KERNEL_SPLIT,
     }

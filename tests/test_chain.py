@@ -372,132 +372,107 @@ def _site_cache(n):
     return build_cache(site_by_site_set(n, spec.field_strength), spec)
 
 
+# how far a row's bits may move with the rows that share its products: a
+# one-row product takes another BLAS path than a block, and OpenBLAS's AVX2
+# kernels compute whole 6-row tiles one way and the rest another (the
+# gap measured is up to 2e-15)
+ROUNDOFF = 1e-12
+
+
+def _lonely_steps(gen, genes, n_actions):
+    """Make row 0 alone take the last action at about half of the steps."""
+    lonely = gen.random(genes.shape[1]) < 0.5
+    genes[1:, lonely] %= n_actions - 1
+    genes[0, lonely] = n_actions - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 8), rows=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
-def test_row_order_permutes_results_bitwise(n, rows, seed):
-    # a row's bits depend on its own actions (and its own stream), never on
-    # where the rows that share its step sit in the batch
+def test_row_order_permutes_results_within_roundoff(n, rows, seed):
+    # a row's result depends on its own actions (and its own stream); where
+    # the rows that share its step sit in the batch moves only its last bits
     cache = _site_cache(n)
     gen = np.random.default_rng(seed)
     length = int(gen.integers(1, 3 * n))
     genes = gen.integers(0, len(cache), (rows, length))
-    # steps where row 0 alone takes the last action: one-row groups
-    lonely = gen.random(length) < 0.5
-    genes[1:, lonely] %= len(cache) - 1
-    genes[0, lonely] = len(cache) - 1
+    _lonely_steps(gen, genes, len(cache))  # one-row groups
     # steps every row shares: one product for the whole batch
     shared = gen.random(length) < 0.2
     genes[:, shared] = genes[0, shared]
     perm = gen.permutation(rows)
 
     mine = evolve_population(genes[perm], cache)
-    assert mine.tobytes() == evolve_population(genes, cache)[perm].tobytes()
+    assert np.max(np.abs(mine - evolve_population(genes, cache)[perm])) <= ROUNDOFF
 
     noise = NoiseModel(p=0.5, delta=0.7)
     streams = [RandomStream(seed).substream(r) for r in range(rows)]
     run = evolve_lockstep(cache.unitaries, genes, length, noise, streams)
     moved = evolve_lockstep(cache.unitaries, genes[perm], length, noise, [streams[i] for i in perm])
-    assert moved.probabilities.tobytes() == run.probabilities[perm].tobytes()
+    assert np.max(np.abs(moved.probabilities - run.probabilities[perm])) <= ROUNDOFF
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(2, 8),
-    sizes=st.lists(st.sampled_from([0, 2, 3, 4, 5, 6]), min_size=1, max_size=4),
+    sizes=st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 6]), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=3, sizes=[0], seed=0)  # an empty stack
-@example(n=4, sizes=[2, 3, 2], seed=1)
-def test_tagged_rows_evolve_as_their_tag_alone(n, sizes, seed):
-    # a stack of tagged batches of two rows or more gives every batch the
-    # bits it gets alone, though a one-row product takes another BLAS path
-    # than a block
+@example(n=4, sizes=[2, 1, 3, 2], seed=1)
+def test_stacked_batches_evolve_as_they_do_alone(n, sizes, seed):
+    # a stack of batches gives every batch its results alone, to roundoff,
+    # and the same bytes on every rerun
     cache = _site_cache(n)
     gen = np.random.default_rng(seed)
     length = int(gen.integers(1, 3 * n))
     batches = [gen.integers(0, len(cache), (k, length)) for k in sizes]
     for b in batches:
-        # steps where the batch's first row alone takes the last action:
-        # one-row classes inside larger batches, often at the same step
-        # and action as the lone rows of other batches
-        lonely = gen.random(length) < 0.5
-        b[1:, lonely] %= len(cache) - 1
-        b[:1, lonely] = len(cache) - 1
+        if len(b) > 1:
+            # one-row classes inside larger batches, often at the same step
+            # and action as the lone rows of other batches
+            _lonely_steps(gen, b, len(cache))
         # steps where every row of the batch takes one action
         shared = gen.random(length) < 0.3
         b[:, shared] = b[:1, shared]
     genes = np.concatenate(batches)
-    tags = np.repeat(np.arange(len(sizes)), sizes)
 
+    stacked = evolve_population(genes, cache)
     alone = np.concatenate([evolve_population(b, cache) for b in batches])
-    assert evolve_population(genes, cache, tags).tobytes() == alone.tobytes()
+    assert np.max(np.abs(stacked - alone), initial=0.0) <= ROUNDOFF
+    assert evolve_population(genes, cache).tobytes() == stacked.tobytes()
 
     noise = NoiseModel(p=0.5, delta=0.7)
     keys = [RandomStream(seed, t).substream_keys(9, count=k) for t, k in enumerate(sizes)]
-    run = evolve_lockstep(cache.unitaries, genes, length, noise, np.concatenate(keys), tags=tags)
-    alone = [evolve_lockstep(cache.unitaries, b, length, noise, k).probabilities for b, k in zip(batches, keys)]
-    assert run.probabilities.tobytes() == np.concatenate(alone).tobytes()
-
-    # one (L,) schedule shared by every row: one product for the whole stack
+    # a batch's own (R, L) schedule, and one (L,) schedule shared by every row
     seq = gen.integers(0, len(cache), length)
-    run = evolve_lockstep(cache.unitaries, seq, length, noise, np.concatenate(keys), tags=tags)
-    alone = [evolve_lockstep(cache.unitaries, seq, length, noise, k).probabilities for k in keys]
-    assert run.probabilities.tobytes() == np.concatenate(alone).tobytes()
+    for actions, parts in ((genes, batches), (seq, [seq] * len(sizes))):
+        run = evolve_lockstep(cache.unitaries, actions, length, noise, np.concatenate(keys))
+        alone = [evolve_lockstep(cache.unitaries, b, length, noise, k).probabilities for b, k in zip(parts, keys)]
+        assert np.max(np.abs(run.probabilities - np.concatenate(alone)), initial=0.0) <= ROUNDOFF
+        again = evolve_lockstep(cache.unitaries, actions, length, noise, np.concatenate(keys))
+        assert again.probabilities.tobytes() == run.probabilities.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 8),
-    sizes=st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1, max_size=5),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=8, sizes=[2] * 28, seed=2)  # 9 actions * 29 > 255: the keys need 16 bits
-def test_plan_blocks_leave_every_bit_as_it_is(n, sizes, seed):
+@given(n=st.integers(2, 8), rows=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_plan_blocks_leave_every_bit_as_it_is(n, rows, seed):
     # a schedule is grouped a block of steps at a time; neither one step per
     # block nor blocks that split the schedule unevenly may move a bit
     cache = _site_cache(n)
     gen = np.random.default_rng(seed)
     length = int(gen.integers(3, 3 * n + 3))
-    genes = gen.integers(0, len(cache), (sum(sizes), length))
-    firsts = np.cumsum([0] + sizes[:-1])
-    # one-row (tag, action) classes: each batch's first row alone takes the
-    # last action, in every batch at once, at some steps
-    lonely = gen.random(length) < 0.5
-    genes[:, lonely] %= len(cache) - 1
-    genes[np.ix_(firsts, lonely)] = len(cache) - 1
-    tags = np.repeat(np.arange(len(sizes)), sizes)
+    genes = gen.integers(0, len(cache), (rows, length))
+    _lonely_steps(gen, genes, len(cache))
     noise = NoiseModel(p=0.5, delta=0.7)
     keys = RandomStream(seed).substream_keys(5, count=len(genes))
 
     def run():
-        noisy = evolve_lockstep(cache.unitaries, genes, length, noise, keys, tags=tags)
-        return evolve_population(genes, cache, tags).tobytes(), noisy.probabilities.tobytes()
+        noisy = evolve_lockstep(cache.unitaries, genes, length, noise, keys)
+        return evolve_population(genes, cache).tobytes(), noisy.probabilities.tobytes()
 
     default = run()
-    # and each batch keeps the bits it gets alone, with keys of any width
-    alone = np.concatenate([evolve_population(genes[tags == t], cache) for t in range(len(sizes))])
-    assert default[0] == alone.tobytes()
     uneven = next(b for b in range(2, length) if length % b)
     for steps_per_block in (1, uneven):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qst_control.chain, "PLAN_CELLS", steps_per_block * len(genes))
             assert run() == default
-
-
-def test_tags_must_give_one_nonnegative_int_per_row(cache4):
-    genes = np.zeros((3, 4), dtype=np.int64)
-    for bad in ([0, 1], [0, -1, 1], [[0, 0, 1]]):
-        with pytest.raises(ValueError, match="tags"):
-            evolve_population(genes, cache4, bad)
-
-
-def test_a_one_row_tag_batch_is_rejected(cache4):
-    # alone, a one-row batch takes the one-row product that a stack cannot give it
-    genes = np.zeros((4, 4), dtype=np.int64)
-    keys = RandomStream(0).substream_keys(count=4)
-    for schedule in (genes, genes[0]):  # four runs either way
-        with pytest.raises(ValueError, match="two rows or more"):
-            evolve_lockstep(cache4.unitaries, schedule, 4, NoiseModel(0.5, 0.5), keys, tags=[0, 1, 1, 2])
-        evolve_lockstep(cache4.unitaries, schedule, 4, NoiseModel(0.5, 0.5), keys, tags=[0, 1, 1, 0])
-    with pytest.raises(ValueError, match="two rows or more"):
-        evolve_population(genes, cache4, [0, 1, 1, 2])

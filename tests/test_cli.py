@@ -118,7 +118,7 @@ def test_manifest_records_the_threads_and_the_machine(tmp_path):
     assert machine["cpu_count"] == os.cpu_count()
     assert machine["affinity"] == sorted(os.sched_getaffinity(0))
     assert machine["kernel_split"] == (len(machine["affinity"]) >= 2)
-    assert set(machine["blas"]) == {"name", "version"}
+    assert set(machine["blas"]) == {"name", "version", "corename"}
 
 
 # the header line of every CSV the CLI writes, by the run above that writes

@@ -6,11 +6,10 @@ import pytest
 
 from qst_control import ga, harness
 from qst_control.actions import build_cache, make_action_set
-from qst_control.chain import ChainSpec, averaged_fidelity, evolve_sequence
+from qst_control.chain import ChainSpec, averaged_fidelity, evolve_population, evolve_sequence
 from qst_control.dqn import DqnConfig, greedy_rollout
 from qst_control.ga import GaConfig, run_ga
 from qst_control.harness import (
-    TAG_MULTI_SEED,
     FixedSequenceController,
     GreedyPolicyController,
     HistogramSettings,
@@ -139,23 +138,31 @@ def test_scaling_study_uses_its_own_stream_tag():
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_multi_seed_ga_matches_per_seed_runs(workers):
-    # a length's seeds run in lock-step, and each one's record is the one
-    # run_ga gives that seed alone
-    stream = RandomStream(6)
-    summary = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, stream, n_seeds=4, workers=workers)
+def test_multi_seed_ga_matches_per_seed_runs(workers, monkeypatch):
+    # a length's seeds run in lock-step: each generation is one stack of
+    # the seeds still running, and every row gets its fitness alone to
+    # roundoff; the summary is the same bytes at any worker count
+    stacks = []
+
+    def recorded(genes, cache):
+        fit = evolve_population(genes, cache)
+        stacks.append((genes.copy(), fit, cache))
+        return fit
+
+    monkeypatch.setattr(ga, "evolve_population", recorded)
+    summary = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(6), n_seeds=4, workers=workers)
+    for genes, fit, cache in stacks:
+        alone = [evolve_sequence(g, cache).max_probability for g in genes]
+        assert np.max(np.abs(fit - alone), initial=0.0) <= 1e-12
+    serial = multi_seed_ga([3, 4], TINY_GA, "site_by_site", SPEC3, RandomStream(6), n_seeds=4)
     for n in (3, 4):
-        spec = dataclasses.replace(SPEC3, n=n)
-        action_set = make_action_set("site_by_site", n, SPEC3.field_strength)
-        alone = [
-            run_ga(TINY_GA, action_set, spec, seed=stream.substream(TAG_MULTI_SEED, n, s)) for s in range(4)
-        ]
-        row = summary.row(n)
-        assert row.per_seed.tobytes() == np.array([r.best_chromosome.fitness for r in alone]).tobytes()
-        assert row.halt_reasons == [r.halt_reason.value for r in alone]
-        assert row.generations == [r.generations_run for r in alone]
-        best = alone[int(np.argmax(row.per_seed))].best_chromosome.genes
-        assert row.best_sequence.tobytes() == best.tobytes()
+        row, cache = summary.row(n), next(c for _, _, c in stacks if c.spec.n == n)
+        assert sum(c is cache for _, _, c in stacks) == max(row.generations)  # one stack a generation
+        assert abs(evolve_sequence(row.best_sequence, cache).max_probability - row.best) <= 1e-12
+        other = serial.row(n)
+        assert row.per_seed.tobytes() == other.per_seed.tobytes()
+        assert (row.halt_reasons, row.generations) == (other.halt_reasons, other.generations)
+        assert row.best_sequence.tobytes() == other.best_sequence.tobytes()
 
 
 SEED_STUDIES = {

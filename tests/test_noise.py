@@ -121,7 +121,7 @@ def test_monte_carlo_mean_is_the_exact_channel_mean(n, p, delta):
 
 
 def test_a_stacked_batch_keeps_each_cell_on_its_channel_mean():
-    # one noise model and one schedule per cell, stepped as one tagged stack
+    # one noise model and one schedule per cell, stepped as one stack
     spec = ChainSpec(n=8)
     cache = build_cache(site_by_site_set(spec.n, spec.field_strength), spec)
     models = [NoiseModel(0.25, 0.5), NoiseModel(1.0, np.pi), NoiseModel(0.5, 1.0)]
@@ -134,7 +134,6 @@ def test_a_stacked_batch_keeps_each_cell_on_its_channel_mean():
         spec.n_steps,
         [m for m in models for _ in range(RUNS)],
         keys,
-        tags=np.repeat(np.arange(len(models)), RUNS),
     )
     for c, (m, seq) in enumerate(zip(models, seqs)):
         cell = run.probabilities[c * RUNS : (c + 1) * RUNS]

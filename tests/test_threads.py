@@ -90,7 +90,7 @@ def _cache(n):
     return build_cache(site_by_site_set(n, spec.field_strength), spec)
 
 
-def _run(cache, kind, rows, length, noisy, lonely, tags, seed):
+def _run(cache, kind, rows, length, noisy, lonely, seed):
     gen = np.random.default_rng(seed)
     n_actions, n = cache.unitaries.shape[0], cache.unitaries.shape[1]
     genes = gen.integers(0, n_actions, (rows, length))
@@ -109,7 +109,7 @@ def _run(cache, kind, rows, length, noisy, lonely, tags, seed):
             return (np.abs(states).argmax(axis=1) + states.real.view(np.int64)[:, 0]) % n_actions
     keys = RandomStream(seed).substream_keys(1, count=rows)
     noise = [NoiseModel(p=0.5, delta=0.4 + r / rows) for r in range(rows)] if noisy else None
-    run = evolve_lockstep(cache.unitaries, actions, length, noise, keys, tags=tags)
+    run = evolve_lockstep(cache.unitaries, actions, length, noise, keys)
     assert run.probabilities.shape == (rows, length)
     return run
 
@@ -121,15 +121,12 @@ def _run(cache, kind, rows, length, noisy, lonely, tags, seed):
     kind=st.sampled_from(["shared", "rows", "policy"]),
     noisy=st.booleans(),
     lonely=st.booleans(),
-    tagged=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_the_split_kernel_is_bitwise_the_serial_one(n, rows, kind, noisy, lonely, tagged, seed):
+def test_the_split_kernel_is_bitwise_the_serial_one(n, rows, kind, noisy, lonely, seed):
     cache = _cache(n)
     length = 3 * n
-    # two tag batches of two rows or more, where the rows allow it
-    tags = np.repeat([0, 1], [2, rows - 2]) if tagged and rows >= 4 and kind != "shared" else None
-    args = (cache, kind, rows, length, noisy, lonely, tags, seed)
+    args = (cache, kind, rows, length, noisy, lonely, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "KERNEL_SPLIT", False)
         serial = _run(*args)
