@@ -154,7 +154,7 @@ def _run_validate(config: ExperimentConfig, out: Path):
     artifacts = {}
     meta = {"controller": config.validate.controller}
     if config.validate.controller == "ga":
-        design = run_ga(config.ga, action_set, spec, seed=stream.substream(_TAG_DESIGN_GA))
+        design = run_ga(config.ga, action_set, spec, seed=stream.substream(_TAG_DESIGN_GA), cache=cache)
         controller = FixedSequenceController(design.best_chromosome.genes)
         artifacts["controller"] = write_json(
             out / "controller.json",

@@ -17,9 +17,15 @@ bound is the one declared on its field (:mod:`qst_control.bounds`), which
 the checked dataclasses also enforce when built, so a value out of range
 is reported under its dotted path.  The top level is read the same way
 off :class:`ExperimentConfig` itself: its plain fields are the top-level
-keys, its dataclass-typed fields the sections.  A dataclass that rejects
-a combination of values is reported under its section, and an action set
-that does not fit the chain under ``action_set``.
+keys, its dataclass-typed fields the sections.
+
+One walk over the mapping checks each key where it reads it, fills in
+the defaults and builds each section's dataclass as soon as the section
+ends, so the first fault in file order is the one reported.  A
+dataclass that rejects a combination of values is reported under its
+top-level section (``dqn``, for a bad ``dqn.reward``).  Once the walk is
+done, an action set that does not fit the chain is reported under
+``action_set``.
 """
 
 from __future__ import annotations
@@ -129,42 +135,59 @@ def _check(hint, v, path: str):
     return v
 
 
-def _resolve_section(path: str, data, schema: dict, missing: list) -> dict:
+def _section(cls, path: str, data) -> tuple:
+    """Check, default and build the section ``cls`` reads: ``(cls object, resolved mapping)``.
+
+    Given keys are checked first, in their order, then the left-out keys
+    default, so the first fault in file order is the one reported.
+    """
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(path, f"expected a mapping, got {data!r}")
-    out = {}
-    # given keys first, in their order, so the first bad one is reported
+    schema = _schema(cls)
+    kwargs, out = {}, {}
     for key in [*data, *(k for k in schema if k not in data)]:
         sub = f"{path}.{key}" if path else str(key)
         if key not in schema:
             raise ConfigError(sub, "unknown key")
         hint, default, bound = schema[key]
         if dataclasses.is_dataclass(hint):
-            out[key] = _resolve_section(sub, data.get(key), _schema(hint), missing)
-        elif key in data:
-            out[key] = _check(hint, data[key], sub)
-            check(out[key], bound, sub, ConfigError)
+            kwargs[key], out[key] = _section(hint, sub, data.get(key))
+            continue
+        if key in data:
+            value = _check(hint, data[key], sub)
+            check(value, bound, sub, ConfigError)
         elif default is dataclasses.MISSING:
-            missing.append(sub)
+            raise ConfigError(sub, f"required ({_REQUIRED[sub]})")
         else:
-            # tuple defaults resolve to lists, the form YAML reads back
-            out[key] = list(default) if isinstance(default, tuple) else default
-    return out
+            value = default
+        # the typed form holds tuples; the resolved one lists, the form YAML reads back
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+        out[key] = list(value) if isinstance(value, tuple) else value
+    try:
+        return cls(**kwargs), out
+    except ValueError as exc:  # a combination the dataclass rejects, named by its top-level section
+        raise ConfigError(path.partition(".")[0], str(exc)) from None
+
+
+def _walk(data) -> ExperimentConfig:
+    if data is not None and not isinstance(data, dict):
+        raise ConfigError("", f"config must be a mapping, got {type(data).__name__}")
+    config, resolved = _section(ExperimentConfig, "", data)
+    try:
+        set_size(config.action_set, config.chain.n, config.chain.field_strength)
+    except ValueError as exc:
+        raise ConfigError("action_set", str(exc)) from None
+    if config.mode is None:
+        del resolved["mode"]
+    config.resolved = resolved
+    return config
 
 
 def resolve(data: dict | None) -> dict:
     """Validate a raw mapping and fill in every default."""
-    if data is not None and not isinstance(data, dict):
-        raise ConfigError("", f"config must be a mapping, got {type(data).__name__}")
-    missing = []
-    out = _resolve_section("", data, _schema(ExperimentConfig), missing)
-    if missing:
-        raise ConfigError(missing[0], f"required ({_REQUIRED[missing[0]]})")
-    if out["mode"] is None:
-        del out["mode"]
-    return out
+    return _walk(data).resolved
 
 
 # -------------------------------------------------------------- overrides
@@ -198,35 +221,6 @@ def apply_overrides(data: dict, overrides) -> dict:
             node = nxt
         node[parts[-1]] = value
     return data
-
-
-def _build_section(cls, section: dict):
-    """``cls(**section)``, with lists as tuples and subsections built first."""
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in section.items():
-        if dataclasses.is_dataclass(hints[key]):
-            value = _build_section(hints[key], value)
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return cls(**kwargs)
-
-
-def _build(resolved: dict) -> ExperimentConfig:
-    kwargs = dict(resolved)
-    for name, hint in typing.get_type_hints(ExperimentConfig).items():
-        if dataclasses.is_dataclass(hint):
-            try:
-                kwargs[name] = _build_section(hint, resolved[name])
-            except ValueError as exc:
-                raise ConfigError(name, str(exc)) from None
-    chain = kwargs["chain"]
-    try:
-        set_size(resolved["action_set"], chain.n, chain.field_strength)
-    except ValueError as exc:
-        raise ConfigError("action_set", str(exc)) from None
-    config = ExperimentConfig(**kwargs)
-    config.resolved = resolved
-    return config
 
 
 def load_config(
@@ -263,15 +257,14 @@ def load_config(
         data["output_dir"] = str(output_dir)
     if workers is not None:
         data["workers"] = workers
-    resolved = resolve(data)
+    config = _walk(data)
     if mode is not None and mode != "describe":
-        configured = resolved.get("mode")
-        if configured is not None and configured != mode:
+        if config.mode is not None and config.mode != mode:
             raise ConfigError(
-                "mode", f"config requests {configured!r} but the {mode!r} subcommand was invoked"
+                "mode", f"config requests {config.mode!r} but the {mode!r} subcommand was invoked"
             )
-        resolved["mode"] = mode
-    return _build(resolved)
+        config.mode = config.resolved["mode"] = mode
+    return config
 
 
 # --------------------------------------------------------------- describe
@@ -286,7 +279,7 @@ def describe(config: ExperimentConfig) -> str:
     chain = config.chain
     n_actions = set_size(config.action_set, chain.n, chain.field_strength)
     table = config.dqn.reward
-    mutated = config.ga.mutated_genes if config.ga.mutated_genes is not None else chain.n
+    mutated = config.ga.resolved_mutated_genes(chain.n)
     source = "explicit" if config.ga.mutated_genes is not None else "chain length"
     lines = [
         "# resolved experiment configuration; derived quantities:",

@@ -75,6 +75,9 @@ class GaConfig(Checked):
         if self.keep_elitism > self.population_size:
             raise ValueError(f"keep_elitism must lie in [0, population_size], got {self.keep_elitism}")
 
+    def resolved_mutated_genes(self, n: int) -> int:
+        return self.mutated_genes if self.mutated_genes is not None else n
+
     def with_population(self, population_size: int) -> "GaConfig":
         """Copy with the population resized and pool sizes rescaled in proportion."""
         ratio = population_size / self.population_size
@@ -421,7 +424,7 @@ def run_ga_lockstep(
     if not gens:
         raise ValueError("seeds must name at least one seed, got none")
     cache = build_cache(action_set, spec) if cache is None else cache
-    mutated_genes = config.mutated_genes if config.mutated_genes is not None else spec.n
+    mutated_genes = config.resolved_mutated_genes(spec.n)
 
     genes = [init_population(config, action_set, spec.n_steps, gen).genes for gen in gens]
     fit = _evaluate(genes, cache)

@@ -229,6 +229,21 @@ def test_validate_ga_worker_invariance(tmp_path):
     assert clean["n_runs"] == "8"
 
 
+def test_validate_builds_one_cache_for_the_ga_design_and_the_grid(tmp_path, monkeypatch):
+    from qst_control import cli, ga
+
+    builds = []
+
+    def counting_build(action_set, spec):
+        builds.append(spec)
+        return build_cache(action_set, spec)
+
+    monkeypatch.setattr(cli, "build_cache", counting_build)
+    monkeypatch.setattr(ga, "build_cache", counting_build)
+    assert main(["validate", "--out", str(tmp_path / "out")] + TINY_GA + VALIDATE_SETS) == 0
+    assert len(builds) == 1
+
+
 def test_validate_summary_reads_the_clean_run_on_a_grid_without_a_noiseless_cell(tmp_path, capsys):
     out = tmp_path / "out"
     # one noisy cell: the summary must not report its mean as the clean run's

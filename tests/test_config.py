@@ -1,6 +1,8 @@
 import dataclasses
+import re
 import textwrap
 import typing
+from pathlib import Path
 
 import pytest
 import yaml
@@ -81,6 +83,18 @@ def test_type_errors_are_named():
 def test_cross_field_errors_carry_section():
     with pytest.raises(ConfigError, match=r"^ga: parents_mating"):
         load_config(overrides=["chain.n=8", "ga.population_size=8"])
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```yaml\n(.*?)```", readme, re.DOTALL)
+    cfg = tmp_path / "example.yaml"
+    cfg.write_text(example)
+    config = load_config(cfg, mode="validate")
+    assert config.mode == "validate"
+    assert config.workers == 4
+    assert config.ga.population_size == 512
+    assert config.dqn.reward.zeta == 0.1
 
 
 def test_overrides_change_exactly_one_field():
@@ -219,6 +233,9 @@ ERROR_PATHS = [
     (["chain.n=8", "chain.coupling=1" + "0" * 400], "chain.coupling", "chain.coupling: must be finite"),
     # an action set the chain is too short for
     (["chain.n=4", "action_set=zhang16"], "action_set", "action_set: the 16-action set needs n >= 6"),
+    # several faults: each section is checked, defaulted and built before the next is read
+    (["chain.dt=0.15", "ga.typo=1"], "chain.n", "chain.n: required (chain length)"),
+    (["chain.n=8", "ga.population_size=8", "sweeps.x=1"], "ga", "ga: parents_mating"),
 ]
 
 
